@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate as _scipy_integrate
 from scipy import special as _scipy_special
 
-from .errors import DomainError, UnsupportedTie
+from .errors import DomainError, QuadratureInconsistent, UnsupportedTie
 from .model import ModelParams, ReproductionLaw, mean
 
 # |i_a - q| below this counts as critical; critical contexts are always
@@ -368,7 +368,7 @@ def malthusian_rate(params: ModelParams) -> RateProfile:
         upper=upper,
     )
     if not (lower - 1e-9 * kstar <= m <= upper + 1e-9 * kstar) or m <= q * kstar:
-        raise RuntimeError(f"rate quadrature inconsistent: {lower} <= {m} <= {upper}")
+        raise QuadratureInconsistent(f"rate quadrature inconsistent: {lower} <= {m} <= {upper}")
     return profile
 
 

@@ -92,7 +92,12 @@ def _base_config(args, params: ModelParams, **extra) -> dict:
 
 
 def _parse_initial(raw: str) -> str | int:
-    return "law" if raw == "law" else int(raw)
+    if raw == "law":
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise RgwError(f'--initial must be "law" or a support point, got {raw!r}') from None
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +229,11 @@ def _cmd_ode_check(args) -> int:
     if args.weights:
         mapping = {}
         for item in args.weights.split(","):
-            k, v = item.split(":")
-            mapping[int(k)] = float(v)
+            try:
+                k, v = item.split(":")
+                mapping[int(k)] = float(v)
+            except ValueError:
+                raise RgwError(f'--weights expects "j:a,...", got {item!r}') from None
         a = analytic.weights_from_map(params.law, mapping)
     elif args.c is not None:
         a = analytic.constant_weights(params.law, args.c)
@@ -310,9 +318,9 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results, _ = verify.run_suite(args.suite, args.seed)
     if args.format == "csv":
         raise RgwError("verify emits a text report; use --format json for structure")
+    results, _ = verify.run_suite(args.suite, args.seed)
     if args.json_report:
         payload = {
             "config": {"suite": args.suite, "seed": args.seed},

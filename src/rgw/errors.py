@@ -37,6 +37,10 @@ class SeriesDiverges(RgwError):
     """Generating series evaluated at or beyond its radius of convergence."""
 
 
+class QuadratureInconsistent(RgwError):
+    """A quadrature result violates a bound it must satisfy."""
+
+
 class UnsupportedTie(RgwError):
     """Maximal weight attained at two or more support points where a unique
     argmax is required."""

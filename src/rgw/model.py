@@ -54,8 +54,9 @@ class ReproductionLaw:
 def new_law(masses: Mapping[int, float]) -> ReproductionLaw:
     """Validate and normalize a map from offspring count to probability.
 
-    Raises NegativeMass, NotNormalized (sum off by more than 1e-9), or
-    DegenerateLaw (single support point after pruning).
+    Raises NegativeMass, NotNormalized (a mass that is not finite, or a sum
+    off by more than 1e-9), or DegenerateLaw (single support point after
+    pruning).
     """
     pruned: dict[int, float] = {}
     for k, p in masses.items():
@@ -63,6 +64,8 @@ def new_law(masses: Mapping[int, float]) -> ReproductionLaw:
         p = float(p)
         if k < 0:
             raise NegativeMass(f"offspring count {k} is negative")
+        if not math.isfinite(p):
+            raise NotNormalized(f"mass {p!r} at count {k} is not finite")
         if p < 0:
             raise NegativeMass(f"mass {p!r} at count {k} is negative")
         if p < PRUNE_TOL:

@@ -48,21 +48,3 @@ def uniforms(keys, counters):
         bits = _mix64(keys + counters * _GOLDEN)
     return (bits >> np.uint64(11)) * _INV_2_53
 
-
-class ScalarStream:
-    """Sequential view of one replica's stream, for event-driven loops."""
-
-    def __init__(self, seed: int, salt: int, replica: int):
-        self._key = derive_keys(seed, salt, replica)
-        self._pos = 0
-
-    def u01(self) -> float:
-        u = float(uniforms(self._key, self._pos))
-        self._pos += 1
-        return u
-
-    def exponential(self, rate: float) -> float:
-        # -log(1-u) keeps u=0 safe; u is bounded away from 1 by 2^-53
-        import math
-
-        return -math.log1p(-self.u01()) / rate

@@ -3,7 +3,9 @@ and the typed pure-birth (Yule) process.
 
 Replica r draws every variate from a counter-based stream keyed by
 (seed, r), so estimates are reproducible bit-for-bit independent of batch
-sizes or worker scheduling.  Reductions run in replica order.
+sizes or worker scheduling.  Reductions run in replica order.  Every
+engine is vectorised across replicas; the Yule engine advances all live
+replicas by one birth per round (counter layout in `simulate_yule`).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, PopulationCapExceeded
 from .model import ModelParams
-from .rng import ScalarStream, derive_keys, uniforms
+from .rng import derive_keys, uniforms
 
 _SALT_SPINE = 0x53
 _SALT_POP = 0x61
@@ -312,59 +314,69 @@ def simulate_yule(params: ModelParams, t: float | None, config: SimConfig,
     the parent is uniform and the child copies its type with probability q,
     otherwise draws a fresh type from the law.  Exponential jumps keep the
     marginal law of the population size exactly geometric.
+
+    Replicas run in parallel rounds: round e (from 0) gives every replica
+    still below the horizon its e-th event, so all of them hold k = e + 1
+    individuals.  Replica r reads its stream at counter 0 for a law-drawn
+    root type (off = 1, else off = 0) and then, for event e, at off + 3e
+    (holding time), off + 3e + 1 (parent) and off + 3e + 2 (copy or fresh
+    type).  A replica's counts are thus a pure function of (seed, r) and
+    do not depend on how many replicas run beside it.  Memory is the
+    (replicas x |support|) count table plus temporaries the size of the
+    live set.  Each round has a fixed numpy cost, so a run of very few
+    replicas to a deep horizon is slower than a per-replica loop would be;
+    from about 50 replicas up the rounds are faster.
     """
     t = float(_resolve_horizon(t, config, "t"))
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    if not (math.isfinite(t) and t >= 0):
+        # a NaN horizon would stop every replica at once, an infinite one never
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
     law, q = params.law, params.q
     support = law.support
-    s = len(support)
-    col = {j: i for i, j in enumerate(support)}
-    probs = [law.mass(j) for j in support]
-    cum = list(np.cumsum(probs))
-    cum[-1] = 1.0
     if initial != "law" and int(initial) not in law.masses:
         raise DomainError(f"{initial} is not a support point")
+    s = len(support)
+    cum = np.cumsum([law.mass(j) for j in support])
+    cum[-1] = 1.0
 
-    counts = np.zeros((config.replicas, s), dtype=np.int64)
-    capped = np.zeros(config.replicas, dtype=bool)
-    for r in range(config.replicas):
-        stream = ScalarStream(config.seed, _SALT_YULE, r)
-        row = [0] * s
-        if initial == "law":
-            u = stream.u01()
-            idx = 0
-            while u > cum[idx]:
-                idx += 1
-            row[idx] = 1
-        else:
-            row[col[int(initial)]] = 1
-        k = 1
-        now = 0.0
-        while True:
-            now += stream.exponential(k)
-            if now > t:
-                break
-            u = stream.u01() * k
-            parent = 0
-            acc = row[0]
-            while u > acc and parent < s - 1:
-                parent += 1
-                acc += row[parent]
-            u2 = stream.u01()
-            if u2 < q:
-                child = parent
-            else:
-                u3 = (u2 - q) / (1.0 - q)
-                child = 0
-                while u3 > cum[child] and child < s - 1:
-                    child += 1
-            row[child] += 1
-            k += 1
-            if k >= config.population_cap:
-                capped[r] = True
-                break
-        counts[r] = row
+    def law_index(u):
+        # first support index whose cumulative mass reaches u
+        return np.minimum(np.searchsorted(cum, u, side="left"), s - 1)
+
+    n = config.replicas
+    keys = derive_keys(config.seed, _SALT_YULE, np.arange(n, dtype=np.uint64))
+    counts = np.zeros((n, s), dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+    if initial == "law":
+        counts[np.arange(n), law_index(uniforms(keys, 0))] = 1
+        off = 1
+    else:
+        counts[:, support.index(int(initial))] = 1
+        off = 0
+    live = np.arange(n)
+    now = np.zeros(n)
+    k = 1
+    while True:
+        ctr = off + 3 * (k - 1)
+        lkeys = keys[live]
+        step = now[live] + -np.log1p(-uniforms(lkeys, ctr)) / k
+        going = step <= t
+        live, lkeys = live[going], lkeys[going]
+        if live.size == 0:
+            break
+        now[live] = step[going]
+        u = uniforms(lkeys, ctr + 1) * k
+        below = counts[live].cumsum(axis=1) < u[:, None]
+        # the child takes its parent's type unless it draws a fresh one
+        child = np.minimum(below.sum(axis=1), s - 1)
+        u2 = uniforms(lkeys, ctr + 2)
+        fresh = u2 >= q
+        child[fresh] = law_index((u2[fresh] - q) / (1.0 - q))
+        counts[live, child] += 1
+        k += 1
+        if k >= config.population_cap:
+            capped[live] = True
+            break
     return YuleResult(counts=counts, support=support, capped=capped, seed=config.seed)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rgw import cli
+from rgw import analytic, cli, verify
 
 
 def run_cli(argv):
@@ -148,6 +148,39 @@ def test_usage_errors_exit_one():
     assert code == 1 and "error" in err
     code, _, err = run_cli_err(["nonsense"])
     assert code == 1
+
+
+def test_verify_csv_rejected_before_suite_runs(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_suite must not be called")
+
+    monkeypatch.setattr(verify, "run_suite", never)
+    code, out, err = run_cli_err(["verify", "--suite", "rates", "--format", "csv"])
+    assert code == 1 and out == ""
+    assert "rgw: error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1-2"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:x,2:1"],
+    ["moments", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "4", "--initial", "foo"],
+    ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "0.5", "--initial", "foo"],
+])
+def test_bad_values_exit_one(argv):
+    code, out, err = run_cli_err(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error:")
+
+
+def test_inconsistent_rate_quadrature_exits_one(monkeypatch):
+    class Broken:
+        def __init__(self, params, a):
+            self.i_total = 1e3  # m = q / i_total falls far below its lower bound
+
+    monkeypatch.setattr(analytic, "AnalyticContext", Broken)
+    code, out, err = run_cli_err(["rate", "--law", "1:0.5,2:0.5", "--q", "0.5"])
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error: rate quadrature inconsistent")
 
 
 def test_law_file_source(tmp_path):

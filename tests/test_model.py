@@ -43,6 +43,18 @@ def test_new_law_negative_mass():
         new_law({-1: 0.5, 2: 0.5})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_new_law_rejects_non_finite_mass(bad):
+    with pytest.raises((NotNormalized, NegativeMass)):
+        new_law({0: bad, 1: 0.5, 2: 0.5})
+
+
+@pytest.mark.parametrize("text", ["0:nan,1:.5,2:.5", "0:inf,1:.5,2:.5", "1:.5,2:-inf"])
+def test_parse_law_rejects_non_finite_mass(text):
+    with pytest.raises((NotNormalized, NegativeMass)):
+        parse_law(text)
+
+
 def test_new_law_prunes_and_renormalizes():
     law = new_law({0: 0.25, 1: 0.75, 5: 1e-18})
     assert law.support == (0, 1)

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgw import exact, sim
 from rgw.errors import DomainError, PopulationCapExceeded
 from rgw.model import ModelParams, new_law
-from rgw.rng import ScalarStream, derive_keys, uniforms
+from rgw.rng import derive_keys, uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -30,13 +32,6 @@ def test_streams_differ_across_replicas_and_salts():
     u3 = uniforms(derive_keys(1, 3, 0), np.arange(8))
     assert not np.array_equal(u1, u2)
     assert not np.array_equal(u1, u3)
-
-
-def test_scalar_stream_matches_vector_path():
-    s = ScalarStream(42, 7, 3)
-    vals = [s.u01() for _ in range(5)]
-    want = uniforms(derive_keys(42, 7, 3), np.arange(5))
-    assert np.allclose(vals, want)
 
 
 def test_sim_config_validation():
@@ -159,12 +154,102 @@ def test_rgw_csv(mixed_params):
 # typed pure-birth process
 # ---------------------------------------------------------------------------
 
+def _yule_reference(params, t, config, initial):
+    """One replica at a time, one counter at a time: the event loop that
+    simulate_yule's rounds must reproduce draw for draw."""
+    support = params.law.support
+    s = len(support)
+    cum = np.cumsum([params.law.mass(j) for j in support])
+    cum[-1] = 1.0
+    counts = np.zeros((config.replicas, s), dtype=np.int64)
+    capped = np.zeros(config.replicas, dtype=bool)
+    for r in range(config.replicas):
+        key = derive_keys(config.seed, 0x79, r)
+        ctr = 0
+
+        def u01():
+            nonlocal ctr
+            ctr += 1
+            return float(uniforms(key, ctr - 1))
+
+        row = [0] * s
+        if initial == "law":
+            u, idx = u01(), 0
+            while u > cum[idx]:
+                idx += 1
+            row[idx] = 1
+        else:
+            row[support.index(initial)] = 1
+        k, now = 1, 0.0
+        while True:
+            now += -math.log1p(-u01()) / k
+            if now > t:
+                break
+            u, parent, acc = u01() * k, 0, row[0]
+            while u > acc and parent < s - 1:
+                parent += 1
+                acc += row[parent]
+            u2, child = u01(), parent
+            if u2 >= params.q:
+                u3, child = (u2 - params.q) / (1.0 - params.q), 0
+                while u3 > cum[child] and child < s - 1:
+                    child += 1
+            row[child] += 1
+            k += 1
+            if k >= config.population_cap:
+                capped[r] = True
+                break
+        counts[r] = row
+    return counts, capped
+
+
+@pytest.mark.parametrize("law, q, t, initial, cap", [
+    ({1: 0.5, 2: 0.5}, 0.5, 1.0, "law", 10**6),
+    ({1: 0.5, 2: 0.5}, 0.5, 1.5, 2, 10**6),
+    ({0: 0.2, 1: 0.3, 3: 0.5}, 0.7, 1.5, "law", 10**6),
+    ({0: 0.6, 2: 0.4}, 0.3, 0.7, 0, 10**6),
+    ({1: 0.05, 3: 0.95}, 0.8, 4.0, "law", 20),
+    ({1: 0.5, 2: 0.5}, 0.5, 0.0, "law", 10**6),
+])
+def test_yule_rounds_match_event_loop(law, q, t, initial, cap):
+    params = ModelParams(new_law(law), q)
+    cfg = sim.SimConfig(seed=17, replicas=150, population_cap=cap)
+    res = sim.simulate_yule(params, t, cfg, initial=initial)
+    counts, capped = _yule_reference(params, t, cfg, initial)
+    assert np.array_equal(res.counts, counts)
+    assert np.array_equal(res.capped, capped)
+    if cap == 20:
+        assert capped.any() and not capped.all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), short=st.integers(1, 40), extra=st.integers(1, 40),
+       t=st.floats(0.0, 2.5), initial=st.sampled_from(["law", 0, 1, 3]),
+       cap=st.sampled_from([5, 30, 10**6]))
+def test_yule_rows_do_not_depend_on_replica_count(seed, short, extra, t, initial, cap):
+    params = ModelParams(new_law({0: 0.2, 1: 0.3, 3: 0.5}), 0.6)
+
+    def run(n):
+        cfg = sim.SimConfig(seed=seed, replicas=n, population_cap=cap)
+        return sim.simulate_yule(params, t, cfg, initial=initial)
+
+    a, b = run(short), run(short + extra)
+    assert np.array_equal(a.counts, b.counts[:short])
+    assert np.array_equal(a.capped, b.capped[:short])
+
+
 def test_yule_at_time_zero(mixed_params):
     res = sim.simulate_yule(mixed_params, 0.0, sim.SimConfig(seed=1, replicas=500))
     assert np.all(res.totals == 1)
     res2 = sim.simulate_yule(mixed_params, 0.0, sim.SimConfig(seed=1, replicas=500),
                              initial=2)
     assert np.all(res2.counts[:, res2.support.index(2)] == 1)
+
+
+@pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
+def test_yule_rejects_bad_horizon(mixed_params, t):
+    with pytest.raises(DomainError):
+        sim.simulate_yule(mixed_params, t, sim.SimConfig(seed=1, replicas=10))
 
 
 def test_yule_population_mean(mixed_params):
