@@ -23,11 +23,12 @@ from .model import ModelParams, load_params, params_to_dict, parse_law
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract reserves 2 for
-    verification failures, so remap usage problems to exit 1."""
+    verification failures, so remap usage problems to exit 1.  Every error,
+    a subcommand's too, is reported as "rgw: error: ..."."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"rgw: error: {message}\n")
 
 
 def _round12(x: float) -> float:
@@ -66,7 +67,7 @@ def _csv_header(config: dict) -> str:
     return "".join(f"# {k}={config[k]}\n" for k in keys)
 
 
-def _add_law_args(p: _Parser, need_q: bool = True) -> None:
+def _add_law_args(p: _Parser) -> None:
     p.add_argument("--law", help='inline law "k:p,k:p,..."')
     p.add_argument("--law-file", help="JSON file {'law': {...}, 'q': ...}")
     p.add_argument("--q", type=float, help="memory parameter in (0,1)")
@@ -85,7 +86,7 @@ def _resolve_params(args) -> ModelParams:
     return params
 
 
-def _base_config(args, params: ModelParams, **extra) -> dict:
+def _base_config(params: ModelParams, **extra) -> dict:
     cfg = params_to_dict(params)
     cfg.update(extra)
     return cfg
@@ -110,7 +111,7 @@ def _cmd_rate(args) -> int:
     a = analytic.linear_weights(params.law)
     rho = analytic.explosion_time(params, a)
     payload = {
-        "config": _base_config(args, params, quadrature_rel_tol=1e-11),
+        "config": _base_config(params, quadrature_rel_tol=1e-11),
         "rate": {
             "m": prof.m,
             "log_m": prof.log_m,
@@ -143,7 +144,7 @@ def _cmd_moments(args) -> int:
         table = exact.urn_dp(params, args.n)
     else:
         table = exact.spine_dp(params, args.n, initial=initial)
-    config = _base_config(args, params, n=args.n, initial=args.initial,
+    config = _base_config(params, n=args.n, initial=args.initial,
                           method=args.method, scale=_round12(table.scale))
     if args.format == "csv":
         buf = io.StringIO()
@@ -164,7 +165,7 @@ def _cmd_simulate(args) -> int:
     config = sim.SimConfig(seed=args.seed, replicas=args.replicas,
                            population_cap=args.cap)
     initial = _parse_initial(args.initial)
-    cfg = _base_config(args, params, n=args.n, seed=args.seed, replicas=args.replicas,
+    cfg = _base_config(params, n=args.n, seed=args.seed, replicas=args.replicas,
                        cap=args.cap, initial=args.initial, engine=args.engine)
     if args.engine == "spine":
         if args.format == "csv":
@@ -188,7 +189,7 @@ def _cmd_yule(args) -> int:
     params = _resolve_params(args)
     config = sim.SimConfig(seed=args.seed, replicas=args.replicas,
                            population_cap=args.cap)
-    cfg = _base_config(args, params, t=args.t, seed=args.seed, replicas=args.replicas,
+    cfg = _base_config(params, t=args.t, seed=args.seed, replicas=args.replicas,
                        cap=args.cap, initial=args.initial)
     if (args.c is None) != (args.ell is None):
         raise RgwError("--c and --ell must be given together")
@@ -244,7 +245,7 @@ def _cmd_ode_check(args) -> int:
     t_hi = args.t if args.t is not None else (0.9 * rho if math.isfinite(rho) else 4.0)
     if t_hi >= rho:
         raise RgwError(f"--t must be below the explosion time {rho:.6g}")
-    cfg = _base_config(args, params, t_max=_round12(t_hi), rel_tol=args.rel_tol,
+    cfg = _base_config(params, t_max=_round12(t_hi), rel_tol=args.rel_tol,
                        weights={str(j): _round12(a[j]) for j in a.support})
     ts = np.linspace(0.0, t_hi, 33)
     sol = ode.integrate_M(params, a, float(ts[-1]), rel_tol=args.rel_tol, t_eval=ts)
@@ -291,7 +292,7 @@ def _cmd_asymptotics(args) -> int:
     ells = [args.ell] if args.ell is not None else list(params.law.support)
     limits = {str(ell): analytic.conditional_limit_constant(params, ell) for ell in ells}
     payload = {
-        "config": _base_config(args, params, gamma_tail_tol=1e-9),
+        "config": _base_config(params, gamma_tail_tol=1e-9),
         "asymptotics": {
             "m": prof.m,
             "beta": prof.beta,
@@ -318,10 +319,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.format == "csv":
-        raise RgwError("verify emits a text report; use --format json for structure")
     results, _ = verify.run_suite(args.suite, args.seed)
-    if args.json_report:
+    if args.format == "json":
         payload = {
             "config": {"suite": args.suite, "seed": args.seed},
             "results": [
@@ -395,9 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", default="all",
                    choices=verify.SUITE_ORDER + ("all",))
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--json-report", action="store_true",
-                   help="emit the report as JSON instead of text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

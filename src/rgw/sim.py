@@ -96,9 +96,18 @@ def _law_tables(params: ModelParams):
     return support, cum, pos
 
 
+def _law_index(cum, u):
+    """Support index that u in [0, 1) draws: the number of cumulative
+    masses <= u, which is searchsorted(cum, u, "right") clipped to the last
+    index (cum[-1] = 1 > u is never counted)."""
+    idx = np.zeros(np.shape(u), dtype=np.int64)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
+
+
 def _sample_law(support, cum, u):
-    idx = np.searchsorted(cum, u, side="right")
-    return support[np.minimum(idx, len(support) - 1)]
+    return support[_law_index(cum, u)]
 
 
 def _resolve_horizon(value, config: SimConfig, name: str):
@@ -116,13 +125,24 @@ def _resolve_horizon(value, config: SimConfig, name: str):
 def simulate_spine(params: ModelParams, n: int | None, config: SimConfig,
                    initial: str | int = "law") -> Estimate:
     """Unbiased estimate of E[Z(n)] by averaging the lineage products
-    zeta_1 * ... * zeta_n; O(n) work per replica."""
+    zeta_1 * ... * zeta_n; O(n) work per replica.
+
+    Replica r reads its stream at counter i for step i.  A lineage whose
+    product hits 0 is extinct: its sample is written at once and the row is
+    dropped, so it draws nothing further.  A live lineage carries its
+    running cumulative counts over the first s-1 positive support points
+    (the last one is always i after i steps), from which a repeat picks a
+    uniform earlier value.  Raises DomainError if the products or their
+    spread overflow float64.
+    """
     n = int(_resolve_horizon(n, config, "n"))
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     law, q = params.law, params.q
     support, cum, pos = _law_tables(params)
     s = len(pos)
+    zero = int(support[0] == 0)  # support index of pos[j] is j + zero
+    value = support.astype(float)
     if initial != "law":
         ell = int(initial)
         if ell not in law.masses:
@@ -131,38 +151,45 @@ def simulate_spine(params: ModelParams, n: int | None, config: SimConfig,
     samples = np.empty(config.replicas)
     for lo in range(0, config.replicas, _SPINE_BATCH):
         hi = min(lo + _SPINE_BATCH, config.replicas)
-        reps = np.arange(lo, hi, dtype=np.uint64)
-        keys = derive_keys(config.seed, _SALT_SPINE, reps)
-        b = hi - lo
-        counts = np.zeros((b, s))
-        u = uniforms(keys, 0)
+        slot = np.arange(lo, hi)
+        keys = derive_keys(config.seed, _SALT_SPINE, slot.astype(np.uint64))
         if initial == "law":
-            vals = _sample_law(support, cum, u)
+            idx = _law_index(cum, uniforms(keys, 0))
         else:
-            vals = np.full(b, ell, dtype=np.int64)
-        prod = vals.astype(float)
-        ppos = np.searchsorted(pos, vals)
-        hit = vals > 0
-        counts[np.nonzero(hit)[0], ppos[hit]] = 1.0
-        for i in range(1, n):
-            alive = prod > 0
-            if not alive.any():
-                break
-            u = uniforms(keys, i)
-            repeat = u < q
-            cumc = counts.cumsum(axis=1) / i
-            idx_rep = np.minimum((u[:, None] / q >= cumc).sum(axis=1), s - 1)
-            val_rep = pos[idx_rep]
-            u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
-            val_fresh = _sample_law(support, cum, u_fresh)
-            vals = np.where(repeat, val_rep, val_fresh)
-            vals = np.where(alive, vals, 0)
-            prod = prod * vals
-            hit = vals > 0
-            rows = np.nonzero(hit)[0]
-            counts[rows, np.searchsorted(pos, vals[hit])] += 1.0
-        samples[lo:hi] = prod
-    return _estimate_from_samples(samples)
+            idx = np.full(hi - lo, np.searchsorted(support, ell))
+        prod = value[idx]
+        # cols[j]: how many values drawn so far are among pos[0..j], j < s-1
+        cols = np.zeros((s - 1, hi - lo))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, n + 1):
+                dead = idx < zero
+                if dead.any():
+                    samples[slot[dead]] = prod[dead]
+                    live = np.flatnonzero(~dead)
+                    slot, keys, prod, idx = (
+                        np.take(a, live) for a in (slot, keys, prod, idx)
+                    )
+                    cols = np.take(cols, live, axis=1)
+                if i == n or slot.size == 0:
+                    break
+                p = idx - zero
+                for j in range(s - 1):
+                    cols[j] += p <= j
+                u = uniforms(keys, i)
+                uq = u / q
+                rep = np.full(slot.size, zero)
+                for j in range(s - 1):
+                    rep += uq >= cols[j] / i
+                u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+                idx = np.where(u < q, rep, _law_index(cum, u_fresh))
+                prod = prod * value[idx]
+        samples[slot] = prod
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = _estimate_from_samples(samples)
+    # an overflowed product is inf (inf * 0 = nan); squares overflow sooner
+    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+        raise DomainError(f"the lineage products overflow float64 by n={n}; use a smaller n")
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -192,48 +219,59 @@ class PopulationResult:
 
 
 def _population_batch(params, n, config, initial, lo, hi, support, cum):
-    law, q = params.law, params.q
+    q = params.q
     b = hi - lo
+    two = np.uint64(2)
     keys = derive_keys(config.seed, _SALT_POP, np.arange(lo, hi, dtype=np.uint64))
     z = np.zeros((b, n + 1))
     z[:, 0] = 1.0
     capped = np.zeros(b, dtype=bool)
     cap_gen = np.full(b, n + 2, dtype=np.int64)
     base = np.zeros(b, dtype=np.uint64)
-    rep = np.arange(b, dtype=np.int64)
-    hist = np.empty((b, 0), dtype=np.int32)
+    # individuals are grouped by replica, counts_per_rep of each; par[k] is
+    # the hist column of individual k's parent: hist[d, p] is the offspring
+    # count of parent p's ancestor in generation d (p itself at d = g - 1)
+    counts_per_rep = np.ones(b, dtype=np.int64)
+    par = np.arange(b)
+    hist = np.empty((0, b), dtype=np.min_scalar_type(int(support[-1])))
     for g in range(n):
+        rep = np.repeat(np.arange(b), counts_per_rep)
         rows = len(rep)
         if rows == 0:
             break
-        counts_per_rep = np.bincount(rep, minlength=b)
-        starts = np.concatenate(([0], np.cumsum(counts_per_rep)[:-1]))
-        local = (np.arange(rows) - starts[rep]).astype(np.uint64)
-        ctr = base[rep] + np.uint64(2) * local
+        starts = np.cumsum(counts_per_rep).astype(np.uint64) - counts_per_rep.astype(np.uint64)
+        # individual k of replica r reads base[r] + 2k and base[r] + 2k + 1
+        with np.errstate(over="ignore"):
+            ctr = np.arange(0, 2 * rows, 2, dtype=np.uint64)
+            ctr += np.repeat(base - two * starts, counts_per_rep)
+        krep = np.repeat(keys, counts_per_rep)
         if g == 0:
             if initial == "law":
-                cnt = _sample_law(support, cum, uniforms(keys[rep], ctr + np.uint64(1)))
+                cnt = _sample_law(support, cum, uniforms(krep, ctr + np.uint64(1)))
             else:
                 cnt = np.full(rows, int(initial), dtype=np.int64)
         else:
-            u_anc = uniforms(keys[rep], ctr)
-            u_ch = uniforms(keys[rep], ctr + np.uint64(1))
+            u_anc = uniforms(krep, ctr)
+            u_ch = uniforms(krep, ctr + np.uint64(1))
             anc_idx = np.minimum((u_anc * g).astype(np.int64), g - 1)
-            anc_val = hist[np.arange(rows), anc_idx].astype(np.int64)
+            anc_val = np.take(hist, anc_idx * hist.shape[1] + par, mode="clip")
             u_fresh = np.clip((u_ch - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
             cnt = np.where(u_ch < q, anc_val, _sample_law(support, cum, u_fresh))
         with np.errstate(over="ignore"):
-            base += np.uint64(2) * counts_per_rep.astype(np.uint64)
+            base += two * counts_per_rep.astype(np.uint64)
         z_next = np.bincount(rep, weights=cnt.astype(float), minlength=b)
         z[:, g + 1] = z_next
         newly = (~capped) & (z_next > config.population_cap)
         capped |= newly
         cap_gen[newly] = g + 1
-        keep = ~capped[rep] & (cnt > 0)
-        rep = np.repeat(rep[keep], cnt[keep])
-        hist = np.repeat(
-            np.column_stack([hist[keep], cnt[keep].astype(np.int32)]), cnt[keep], axis=0
-        )
+        keep = np.flatnonzero(~capped[rep] & (cnt > 0))
+        kc = np.take(cnt, keep)
+        counts_per_rep = np.where(capped, 0, z_next).astype(np.int64)
+        grown = np.empty((g + 1, len(kc)), dtype=hist.dtype)
+        np.take(hist, np.take(par, keep), axis=1, out=grown[:g], mode="clip")
+        grown[g] = kc
+        hist = grown
+        par = np.repeat(np.arange(len(kc)), kc)
     for r in np.nonzero(capped)[0]:
         z[r, cap_gen[r] + 1:] = np.nan
     return z, capped
@@ -243,10 +281,15 @@ def simulate_rgw(params: ModelParams, n: int | None, config: SimConfig,
                  initial: str | int = "law") -> PopulationResult:
     """Simulate the full reinforced branching population for n generations.
 
-    Each individual keeps the complete vector of its ancestors' offspring
-    counts (rows shared structurally through np.repeat), so the uniform
-    ancestor lookup is a single gather.  Replicas hitting the population
-    cap are flagged and excluded from estimates rather than silently kept.
+    The population keeps one ancestry record per parent (a column of
+    `hist`): the offspring counts of the parent and of all its ancestors.
+    Each child points at its parent's record, so the uniform ancestor
+    lookup is a single gather, and generation g copies g cells per parent
+    rather than per child.  Individual k of replica r (its k-th in
+    generation order) reads counters base + 2k and base + 2k + 1, where
+    base counts the draws of r's earlier generations.
+    Replicas hitting the population cap are flagged and excluded from
+    estimates rather than silently kept.
     """
     n = int(_resolve_horizon(n, config, "n"))
     if n < 1:

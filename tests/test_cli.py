@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -132,7 +133,7 @@ def test_verify_reports_are_byte_identical():
 
 def test_verify_json_report():
     code, out = run_cli(["verify", "--suite", "rates", "--seed", "42",
-                         "--json-report"])
+                         "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
@@ -170,6 +171,20 @@ def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
     assert code == 1 and out == ""
     assert err.startswith("rgw: error:")
+
+
+@pytest.mark.parametrize("law, q", [
+    ("6:0.3,7:0.4,8:0.3", "0.3"),
+    ("0:0.05,6:0.3,7:0.35,8:0.3", "0.9"),
+])
+def test_spine_overflow_exits_one(law, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli_err(["simulate", "--engine", "spine", "--law", law,
+                                      "--q", q, "--n", "400", "--replicas", "2000",
+                                      "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error:") and "overflow" in err
 
 
 def test_inconsistent_rate_quadrature_exits_one(monkeypatch):

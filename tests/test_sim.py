@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgw import exact, sim
+from rgw import exact, rng, sim
 from rgw.errors import DomainError, PopulationCapExceeded
 from rgw.model import ModelParams, new_law
 from rgw.rng import derive_keys, uniforms
@@ -32,6 +32,21 @@ def test_streams_differ_across_replicas_and_salts():
     u3 = uniforms(derive_keys(1, 3, 0), np.arange(8))
     assert not np.array_equal(u1, u2)
     assert not np.array_equal(u1, u3)
+
+
+def test_long_arrays_match_short_calls():
+    # arrays longer than one mixing block give the variates of short calls
+    n = 3 * rng._BLOCK + 5
+    keys = derive_keys(4, 2, np.arange(n, dtype=np.uint64))
+    ctr = np.arange(n, dtype=np.uint64) * np.uint64(7)
+    pieces = [uniforms(keys[lo:lo + 1000], ctr[lo:lo + 1000]) for lo in range(0, n, 1000)]
+    assert np.array_equal(uniforms(keys, ctr), np.concatenate(pieces))
+    assert np.array_equal(uniforms(keys, 3), uniforms(keys, np.full(n, 3)))
+    assert np.array_equal(uniforms(keys[9], ctr)[:50],
+                          [uniforms(keys[9], int(c)) for c in ctr[:50]])
+    grid = uniforms(keys[:6].reshape(2, 3), np.arange(3))
+    assert grid.shape == (2, 3)
+    assert grid[1, 2] == uniforms(keys[5], 2)
 
 
 def test_sim_config_validation():
@@ -78,6 +93,78 @@ def test_spine_determinism(mixed_params):
     a = sim.simulate_spine(mixed_params, 8, cfg)
     b = sim.simulate_spine(mixed_params, 8, cfg)
     assert a == b
+
+
+def _spine_reference(params, n, config, initial):
+    """The whole-batch lineage loop: every row steps to n, extinct or not,
+    with an (b x s) count table.  simulate_spine must match it draw for draw."""
+    law, q = params.law, params.q
+    support, cum, pos = sim._law_tables(params)
+    s = len(pos)
+
+    def sample_law(u):
+        return support[np.minimum(np.searchsorted(cum, u, side="right"), len(support) - 1)]
+
+    samples = np.empty(config.replicas)
+    for lo in range(0, config.replicas, sim._SPINE_BATCH):
+        hi = min(lo + sim._SPINE_BATCH, config.replicas)
+        keys = derive_keys(config.seed, 0x53, np.arange(lo, hi, dtype=np.uint64))
+        b = hi - lo
+        counts = np.zeros((b, s))
+        u = uniforms(keys, 0)
+        vals = sample_law(u) if initial == "law" else np.full(b, initial, dtype=np.int64)
+        prod = vals.astype(float)
+        ppos = np.searchsorted(pos, vals)
+        hit = vals > 0
+        counts[np.nonzero(hit)[0], ppos[hit]] = 1.0
+        for i in range(1, n):
+            alive = prod > 0
+            if not alive.any():
+                break
+            u = uniforms(keys, i)
+            cumc = counts.cumsum(axis=1) / i
+            idx_rep = np.minimum((u[:, None] / q >= cumc).sum(axis=1), s - 1)
+            u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+            vals = np.where(u < q, pos[idx_rep], sample_law(u_fresh))
+            vals = np.where(alive, vals, 0)
+            prod = prod * vals
+            hit = vals > 0
+            counts[np.nonzero(hit)[0], np.searchsorted(pos, vals[hit])] += 1.0
+        samples[lo:hi] = prod
+    return samples
+
+
+@pytest.mark.parametrize("law, q, n, initial", [
+    ({0: 0.3, 1: 0.2, 3: 0.5}, 0.6, 12, "law"),
+    ({0: 0.3, 1: 0.2, 3: 0.5}, 0.6, 12, 0),
+    ({0: 0.3, 1: 0.2, 3: 0.5}, 0.6, 12, 3),
+    ({0: 0.4, 2: 0.6}, 0.5, 15, "law"),
+    ({0: 0.4, 2: 0.6}, 0.5, 15, 2),
+    ({1: 0.2, 2: 0.5, 4: 0.3}, 0.7, 10, "law"),
+    ({0: 0.1, 1: 0.2, 2: 0.3, 5: 0.4}, 0.3, 10, 2),
+    ({1: 0.5, 2: 0.5}, 0.5, 1, "law"),
+])
+@pytest.mark.parametrize("batch", [1 << 18, 333])
+def test_spine_matches_whole_batch_loop(law, q, n, initial, batch, monkeypatch):
+    monkeypatch.setattr(sim, "_SPINE_BATCH", batch)
+    params = ModelParams(new_law(law), q)
+    cfg = sim.SimConfig(seed=23, replicas=2000)
+    est = sim.simulate_spine(params, n, cfg, initial=initial)
+    ref = sim._estimate_from_samples(_spine_reference(params, n, cfg, initial))
+    assert est.mean == ref.mean
+    assert est.std_error == ref.std_error
+    assert est.replicas_used == ref.replicas_used
+    assert est.capped_fraction == ref.capped_fraction
+
+
+@pytest.mark.parametrize("law, q", [
+    ({6: 0.3, 7: 0.4, 8: 0.3}, 0.3),
+    ({0: 0.05, 6: 0.3, 7: 0.35, 8: 0.3}, 0.9),
+])
+def test_spine_overflow_is_an_error(law, q):
+    params = ModelParams(new_law(law), q)
+    with pytest.raises(DomainError, match="overflow"):
+        sim.simulate_spine(params, 400, sim.SimConfig(seed=1, replicas=2000))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +235,110 @@ def test_rgw_csv(mixed_params):
     assert lines[0] == "replica,generation,Z"
     assert lines[1] == "0,0,1"
     assert len(lines) == 1 + 4 * 4
+
+
+def _population_reference(params, n, config, initial):
+    """One history row per individual, rebuilt every generation with
+    np.repeat: the layout simulate_rgw's per-parent records must match."""
+    q = params.q
+    support, cum, _ = sim._law_tables(params)
+
+    def sample_law(u):
+        return support[np.minimum(np.searchsorted(cum, u, side="right"), len(support) - 1)]
+
+    b = config.replicas
+    keys = derive_keys(config.seed, 0x61, np.arange(b, dtype=np.uint64))
+    z = np.zeros((b, n + 1))
+    z[:, 0] = 1.0
+    capped = np.zeros(b, dtype=bool)
+    cap_gen = np.full(b, n + 2, dtype=np.int64)
+    base = np.zeros(b, dtype=np.uint64)
+    rep = np.arange(b, dtype=np.int64)
+    hist = np.empty((b, 0), dtype=np.int32)
+    for g in range(n):
+        rows = len(rep)
+        if rows == 0:
+            break
+        counts_per_rep = np.bincount(rep, minlength=b)
+        starts = np.concatenate(([0], np.cumsum(counts_per_rep)[:-1]))
+        local = (np.arange(rows) - starts[rep]).astype(np.uint64)
+        ctr = base[rep] + np.uint64(2) * local
+        if g == 0:
+            if initial == "law":
+                cnt = sample_law(uniforms(keys[rep], ctr + np.uint64(1)))
+            else:
+                cnt = np.full(rows, int(initial), dtype=np.int64)
+        else:
+            u_anc = uniforms(keys[rep], ctr)
+            u_ch = uniforms(keys[rep], ctr + np.uint64(1))
+            anc_idx = np.minimum((u_anc * g).astype(np.int64), g - 1)
+            anc_val = hist[np.arange(rows), anc_idx].astype(np.int64)
+            u_fresh = np.clip((u_ch - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+            cnt = np.where(u_ch < q, anc_val, sample_law(u_fresh))
+        base += np.uint64(2) * counts_per_rep.astype(np.uint64)
+        z_next = np.bincount(rep, weights=cnt.astype(float), minlength=b)
+        z[:, g + 1] = z_next
+        newly = (~capped) & (z_next > config.population_cap)
+        capped |= newly
+        cap_gen[newly] = g + 1
+        keep = ~capped[rep] & (cnt > 0)
+        rep = np.repeat(rep[keep], cnt[keep])
+        hist = np.repeat(
+            np.column_stack([hist[keep], cnt[keep].astype(np.int32)]), cnt[keep], axis=0
+        )
+    for r in np.nonzero(capped)[0]:
+        z[r, cap_gen[r] + 1:] = np.nan
+    return z, capped
+
+
+@pytest.mark.parametrize("law, q, n, initial, cap", [
+    ({0: 0.3, 1: 0.2, 3: 0.5}, 0.6, 8, "law", 10**6),
+    ({0: 0.3, 1: 0.2, 3: 0.5}, 0.6, 8, 0, 10**6),
+    ({0: 0.3, 1: 0.2, 3: 0.5}, 0.6, 8, 3, 10**6),
+    ({1: 0.2, 2: 0.5, 4: 0.3}, 0.7, 6, "law", 10**6),
+    ({0: 0.4, 2: 0.6}, 0.5, 9, 2, 10**6),
+    ({1: 0.05, 3: 0.95}, 0.8, 10, "law", 200),
+    ({1: 0.1, 2: 0.2, 300: 0.7}, 0.5, 3, "law", 10**6),
+])
+def test_rgw_matches_per_individual_history(law, q, n, initial, cap):
+    params = ModelParams(new_law(law), q)
+    cfg = sim.SimConfig(seed=29, replicas=300, population_cap=cap)
+    res = sim.simulate_rgw(params, n, cfg, initial=initial)
+    z, capped = _population_reference(params, n, cfg, initial)
+    assert np.array_equal(res.z, z, equal_nan=True)
+    assert np.array_equal(res.capped, capped)
+    if cap == 200:
+        assert capped.any() and not capped.all()
+
+
+_small_laws = st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True).flatmap(
+    lambda pts: st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)).map(
+        lambda w: {k: v / sum(w) for k, v in zip(sorted(pts), w)}
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=_small_laws, q=st.floats(0.05, 0.95), n=st.integers(1, 8),
+       replicas=st.integers(1, 64), seed=st.integers(0, 2**32),
+       spine_batch=st.integers(1, 9), cell_budget=st.sampled_from([1.0, 50.0, 400.0]),
+       cap=st.sampled_from([5, 10**6]))
+def test_output_does_not_depend_on_batch_size(law, q, n, replicas, seed, spine_batch,
+                                              cell_budget, cap):
+    params = ModelParams(new_law(law), q)
+    cfg = sim.SimConfig(seed=seed, replicas=replicas, population_cap=cap)
+    spine = sim.simulate_spine(params, n, cfg)
+    pop = sim.simulate_rgw(params, n, cfg)
+    saved = sim._SPINE_BATCH, sim._POP_CELL_BUDGET
+    sim._SPINE_BATCH, sim._POP_CELL_BUDGET = spine_batch, cell_budget
+    try:
+        small_spine = sim.simulate_spine(params, n, cfg)
+        small_pop = sim.simulate_rgw(params, n, cfg)
+    finally:
+        sim._SPINE_BATCH, sim._POP_CELL_BUDGET = saved
+    assert small_spine == spine
+    assert np.array_equal(small_pop.z, pop.z, equal_nan=True)
+    assert np.array_equal(small_pop.capped, pop.capped)
 
 
 # ---------------------------------------------------------------------------
