@@ -16,19 +16,13 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0**-53
-_BLOCK = 1 << 14
 
 
 def _mix64(x: np.ndarray | np.uint64):
-    """splitmix64 finalizer.  Pass a fresh value: an array is mixed in place
-    (a numpy scalar is immutable, so the operators rebind it)."""
     with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
-    return x
+        x = (x ^ (x >> np.uint64(30))) * _MIX1
+        x = (x ^ (x >> np.uint64(27))) * _MIX2
+        return x ^ (x >> np.uint64(31))
 
 
 def derive_keys(seed: int, salt: int, replicas: np.ndarray | int) -> np.ndarray | np.uint64:
@@ -42,38 +36,21 @@ def derive_keys(seed: int, salt: int, replicas: np.ndarray | int) -> np.ndarray 
         return _mix64(base + _mix64(rep * _GOLDEN + np.uint64(1)))
 
 
-def _mix_into(out, keys, counters):
-    """out = the U[0,1) variates of (keys, counters)."""
-    with np.errstate(over="ignore"):
-        x = _mix64(keys + counters * _GOLDEN)
-    x >>= np.uint64(11)
-    np.multiply(x, _INV_2_53, out=out)
-
-
 def uniforms(keys, counters):
-    """U[0,1) variates addressed by (key, counter); vectorized, stateless.
-
-    Long arrays are mixed _BLOCK variates at a time, so the temporaries
-    stay in cache however long the arrays are.
-    """
+    """U[0,1) variates addressed by (key, counter); vectorized, stateless."""
     keys = np.asarray(keys, dtype=np.uint64) if not np.isscalar(keys) else np.uint64(keys)
     counters = (
         np.asarray(counters).astype(np.uint64, copy=False)
         if not np.isscalar(counters)
         else np.uint64(int(counters))
     )
-    if np.ndim(keys) == 0 and np.ndim(counters) == 0:
-        with np.errstate(over="ignore"):
-            bits = _mix64(keys + counters * _GOLDEN)
-        return (bits >> np.uint64(11)) * _INV_2_53
-    out = np.empty(np.broadcast(keys, counters).shape)
-    if out.size <= _BLOCK:
-        _mix_into(out, keys, counters)
-        return out
-    keys = np.broadcast_to(keys, out.shape).reshape(-1)
-    counters = np.broadcast_to(counters, out.shape).reshape(-1)
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, _BLOCK):
-        hi = lo + _BLOCK
-        _mix_into(flat[lo:hi], keys[lo:hi], counters[lo:hi])
-    return out
+    with np.errstate(over="ignore"):
+        x = keys + counters * _GOLDEN
+        # _mix64 on the fresh array x in place (a numpy scalar is rebound)
+        x ^= x >> np.uint64(30)
+        x *= _MIX1
+        x ^= x >> np.uint64(27)
+        x *= _MIX2
+        x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    return x * _INV_2_53

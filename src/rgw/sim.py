@@ -97,13 +97,8 @@ def _law_tables(params: ModelParams):
 
 
 def _law_index(cum, u):
-    """Support index that u in [0, 1) draws: the number of cumulative
-    masses <= u, which is searchsorted(cum, u, "right") clipped to the last
-    index (cum[-1] = 1 > u is never counted)."""
-    idx = np.zeros(np.shape(u), dtype=np.int64)
-    for c in cum[:-1]:
-        idx += u >= c
-    return idx
+    """Support index that u in [0, 1) draws."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
 def _sample_law(support, cum, u):
@@ -132,8 +127,8 @@ def simulate_spine(params: ModelParams, n: int | None, config: SimConfig,
     dropped, so it draws nothing further.  A live lineage carries its
     running cumulative counts over the first s-1 positive support points
     (the last one is always i after i steps), from which a repeat picks a
-    uniform earlier value.  Raises DomainError if the products or their
-    spread overflow float64.
+    uniform earlier value.  Raises DomainError if a product, or the sum or
+    spread of the products, overflows float64.
     """
     n = int(_resolve_horizon(n, config, "n"))
     if n < 1:
@@ -181,14 +176,23 @@ def simulate_spine(params: ModelParams, n: int | None, config: SimConfig,
                 for j in range(s - 1):
                     rep += uq >= cols[j] / i
                 u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
-                idx = np.where(u < q, rep, _law_index(cum, u_fresh))
+                # _law_index as a scan: the step is O(s) per lineage already
+                fresh = np.zeros(slot.size, dtype=np.int64)
+                for c in cum[:-1]:
+                    fresh += u_fresh >= c
+                idx = np.where(u < q, rep, fresh)
                 prod = prod * value[idx]
         samples[slot] = prod
-    with np.errstate(over="ignore", invalid="ignore"):
-        est = _estimate_from_samples(samples)
-    # an overflowed product is inf (inf * 0 = nan); squares overflow sooner
-    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+    # an overflowed product is inf, and inf * 0 = nan
+    if not np.isfinite(samples).all():
         raise DomainError(f"the lineage products overflow float64 by n={n}; use a smaller n")
+    with np.errstate(over="ignore"):
+        est = _estimate_from_samples(samples)
+    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+        raise DomainError(
+            f"the sum or spread of the lineage products overflows float64 at n={n}; "
+            "use a smaller n"
+        )
     return est
 
 
@@ -254,7 +258,7 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum):
             u_anc = uniforms(krep, ctr)
             u_ch = uniforms(krep, ctr + np.uint64(1))
             anc_idx = np.minimum((u_anc * g).astype(np.int64), g - 1)
-            anc_val = np.take(hist, anc_idx * hist.shape[1] + par, mode="clip")
+            anc_val = np.take(hist, anc_idx * hist.shape[1] + par)
             u_fresh = np.clip((u_ch - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
             cnt = np.where(u_ch < q, anc_val, _sample_law(support, cum, u_fresh))
         with np.errstate(over="ignore"):
@@ -268,7 +272,7 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum):
         kc = np.take(cnt, keep)
         counts_per_rep = np.where(capped, 0, z_next).astype(np.int64)
         grown = np.empty((g + 1, len(kc)), dtype=hist.dtype)
-        np.take(hist, np.take(par, keep), axis=1, out=grown[:g], mode="clip")
+        np.take(hist, np.take(par, keep), axis=1, out=grown[:g])
         grown[g] = kc
         hist = grown
         par = np.repeat(np.arange(len(kc)), kc)

@@ -1,12 +1,13 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgw import exact, rng, sim
+from rgw import exact, sim
 from rgw.errors import DomainError, PopulationCapExceeded
 from rgw.model import ModelParams, new_law
 from rgw.rng import derive_keys, uniforms
@@ -35,8 +36,8 @@ def test_streams_differ_across_replicas_and_salts():
 
 
 def test_long_arrays_match_short_calls():
-    # arrays longer than one mixing block give the variates of short calls
-    n = 3 * rng._BLOCK + 5
+    # long arrays, broadcasts and scalars give the variates of short calls
+    n = 50_005
     keys = derive_keys(4, 2, np.arange(n, dtype=np.uint64))
     ctr = np.arange(n, dtype=np.uint64) * np.uint64(7)
     pieces = [uniforms(keys[lo:lo + 1000], ctr[lo:lo + 1000]) for lo in range(0, n, 1000)]
@@ -163,8 +164,19 @@ def test_spine_matches_whole_batch_loop(law, q, n, initial, batch, monkeypatch):
 ])
 def test_spine_overflow_is_an_error(law, q):
     params = ModelParams(new_law(law), q)
-    with pytest.raises(DomainError, match="overflow"):
-        sim.simulate_spine(params, 400, sim.SimConfig(seed=1, replicas=2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="lineage products overflow"):
+            sim.simulate_spine(params, 400, sim.SimConfig(seed=1, replicas=2000))
+
+
+def test_spine_spread_overflow_is_an_error():
+    # every product lies in [6**200, 8**200] and is finite; their squares are not
+    params = ModelParams(new_law({6: 0.3, 7: 0.4, 8: 0.3}), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="spread of the lineage products overflows"):
+            sim.simulate_spine(params, 200, sim.SimConfig(seed=1, replicas=2000))
 
 
 # ---------------------------------------------------------------------------
