@@ -6,45 +6,31 @@ autonomous system
     M_j' = M_j (q M_j + phi),   phi = (1-q) <nu; M> - 1,
 
 with initial condition M(0) = a.  The solution blows up at the explosion
-time of the weights, so the integrator is an embedded Dormand-Prince 4(5)
-pair with proportional-integral step control and an explicit blow-up
-detector.
+time of the weights, so it is integrated with scipy's DOP853 (the
+Dormand-Prince 8(5,3) pair) and a terminal event at max |M| = 1e8 that
+raises BlowUpDetected.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .analytic import AnalyticContext, WeightVector
-from .errors import BlowUpDetected, DomainError
+from .errors import BlowUpDetected, DomainError, RgwError
 from .model import ModelParams
 
 BLOWUP_NORM = 1e8
-_MIN_STEP = 1e-14
-
-# Dormand-Prince 4(5) tableau; first-same-as-last
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
 
 
 @dataclass(frozen=True)
 class OdeSolution:
     """Moment trajectories on an increasing time grid.
 
-    values[k, i] is M_j at grid[k] for the i-th support point; step
-    controller statistics are kept for diagnostics.
+    values[k, i] is M_j at grid[k] for the i-th support point; the
+    solver's accepted and rejected step counts are kept for diagnostics.
     """
 
     grid: np.ndarray
@@ -52,15 +38,10 @@ class OdeSolution:
     support: tuple[int, ...]
     accepted: int
     rejected: int
-    params: ModelParams
     a: WeightVector
 
     def column(self, j: int) -> np.ndarray:
         return self.values[:, self.support.index(j)]
-
-    def phi_values(self) -> np.ndarray:
-        nu = np.array([self.params.law.mass(j) for j in self.support])
-        return (1.0 - self.params.q) * self.values @ nu - 1.0
 
     def to_csv(self, fh) -> None:
         fh.write("t," + ",".join(f"M_{j}" for j in self.support) + "\n")
@@ -69,101 +50,73 @@ class OdeSolution:
             fh.write(f"{self.grid[k]:.12g},{row}\n")
 
 
+def _step_counts(sol) -> tuple[int, int]:
+    """Accepted and rejected DOP853 steps of a solve_ivp run with an event.
+
+    The run costs 2 evaluations to start, 12 per attempted step and 3 per
+    accepted step for its dense output, which the event search needs.
+    """
+    accepted = len(sol.t) - 1
+    attempts, rest = divmod(sol.nfev - 2 - 3 * accepted, 12)
+    if rest or attempts < accepted:
+        raise RgwError(f"cannot count DOP853 steps from nfev={sol.nfev}, accepted={accepted}")
+    return accepted, attempts - accepted
+
+
 def integrate_M(params: ModelParams, a: WeightVector, t_max: float,
                 rel_tol: float = 1e-8, t_eval=None) -> OdeSolution:
     """Adaptive integration of the moment system on [0, t_max].
 
-    t_max must lie strictly below the explosion time (DomainError
-    otherwise); keeping t_max <= 0.9 * rho leaves a safety margin.  If the
-    max-norm of the state crosses 1e8 the integrator raises BlowUpDetected
-    carrying the crossing time.  When t_eval is given, steps land exactly
-    on the requested times and only those are recorded.
+    t_max must be finite and lie strictly below the explosion time
+    (DomainError otherwise); keeping t_max <= 0.9 * rho leaves a safety
+    margin.  rel_tol must lie in (0, 1).  If the max-norm of the state
+    crosses 1e8 the integrator raises BlowUpDetected carrying the crossing
+    time.  When t_eval is given, only those times are recorded, read off
+    the solver's dense output.
     """
+    if not math.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max!r}")
+    if not (math.isfinite(rel_tol) and 0 < rel_tol < 1):
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+    if t_max < 0:
+        raise DomainError(f"t_max must be >= 0, got {t_max!r}")
     ctx = AnalyticContext(params, a)
     rho = ctx.explosion_time
     if t_max >= rho:
         raise DomainError(f"t_max={t_max!r} is not below the explosion time {rho!r}")
-    if t_max < 0:
-        raise DomainError(f"t_max must be >= 0, got {t_max!r}")
     law, q = params.law, params.q
     support = law.support
     nu = np.array([law.mass(j) for j in support])
-    y = np.array([a[j] for j in support], dtype=float)
+    y0 = np.array([a[j] for j in support], dtype=float)
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if len(t_eval) == 0 or not t_eval[0] >= 0 or not np.all(np.diff(t_eval) > 0):
+            raise DomainError("t_eval must be nonempty and strictly increasing")
+        if t_eval[-1] > t_max:
+            raise DomainError("t_eval exceeds t_max")
+    if t_max == 0:
+        return OdeSolution(np.zeros(1), y0[None, :], support, 0, 0, a)
 
-    def f(state):
+    def f(t, state):
         phi = (1.0 - q) * float(state @ nu) - 1.0
         return state * (q * state + phi)
 
-    if t_eval is not None:
-        targets = np.asarray(t_eval, dtype=float)
-        if len(targets) == 0 or targets[0] < 0 or np.any(np.diff(targets) <= 0):
-            raise DomainError("t_eval must be nonempty and strictly increasing")
-        if targets[-1] > t_max:
-            raise DomainError("t_eval exceeds t_max")
+    def blowup(t, state):
+        return float(np.max(np.abs(state))) - BLOWUP_NORM
+
+    blowup.terminal = True
+    sol = solve_ivp(f, (0.0, t_max), y0, method="DOP853", rtol=rel_tol, atol=1e-12,
+                    events=blowup, dense_output=True)
+    if sol.status == -1:
+        raise RgwError(f"moment ODE solver failed: {sol.message}")
+    if sol.status == 1:
+        raise BlowUpDetected(float(sol.t_events[0][0]))
+    accepted, rejected = _step_counts(sol)
+    if t_eval is None:
+        grid, values = sol.t, sol.y.T
     else:
-        targets = None
-
-    atol = 1e-12
-    grid = [0.0]
-    vals = [y.copy()]
-    record_all = targets is None
-    next_target = 0 if targets is not None else None
-    if targets is not None and targets[0] == 0.0:
-        next_target = 1
-        grid = [0.0]
-        vals = [y.copy()]
-    elif targets is not None:
-        grid = []
-        vals = []
-
-    t = 0.0
-    h = min(1e-2, t_max / 10) if t_max > 0 else 0.0
-    k_first = f(y)
-    accepted = rejected = 0
-    err_prev = 1.0
-    while t < t_max and t_max > 0:
-        goal = t_max if targets is None or next_target >= len(targets) else targets[next_target]
-        h = min(h, goal - t)
-        if h < _MIN_STEP:
-            h = _MIN_STEP
-        ks = [k_first]
-        for i in range(1, 7):
-            yi = y + h * (np.stack(ks, axis=0).T @ _A[i])
-            ks.append(f(yi))
-        kmat = np.stack(ks, axis=0)
-        y5 = y + h * (_B5 @ kmat)
-        err_vec = h * (_ERR @ kmat)
-        scale = atol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0 or h <= _MIN_STEP * 1.0000001:
-            t += h
-            y = y5
-            k_first = ks[6]  # FSAL
-            accepted += 1
-            if float(np.max(np.abs(y))) > BLOWUP_NORM:
-                raise BlowUpDetected(t)
-            if record_all:
-                grid.append(t)
-                vals.append(y.copy())
-            elif next_target < len(targets) and abs(t - targets[next_target]) < 1e-12 * max(1.0, t):
-                grid.append(targets[next_target])
-                vals.append(y.copy())
-                next_target += 1
-            err_prev = max(err, 1e-10)
-        else:
-            rejected += 1
-        # PI controller (orders 4/5)
-        factor = 0.9 * err ** (-0.7 / 5) * err_prev ** (0.4 / 5) if err > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-    return OdeSolution(
-        grid=np.array(grid),
-        values=np.array(vals) if vals else np.empty((0, len(support))),
-        support=support,
-        accepted=accepted,
-        rejected=rejected,
-        params=params,
-        a=a,
-    )
+        grid, values = t_eval, sol.sol(t_eval).T
+    return OdeSolution(grid, values, support, accepted, rejected, a)
 
 
 def pde_residual_G(params: ModelParams, a: WeightVector, t_grid, s_grid,

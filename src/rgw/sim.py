@@ -40,13 +40,11 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication plan: seed, replica count, population cap, optional
-    default horizon used when an operation's n/t argument is omitted."""
+    """Replication plan: seed, replica count and population cap."""
 
     seed: int
     replicas: int
     population_cap: int = 10**6
-    horizon: float | int | None = None
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -105,19 +103,11 @@ def _sample_law(support, cum, u):
     return support[_law_index(cum, u)]
 
 
-def _resolve_horizon(value, config: SimConfig, name: str):
-    if value is None:
-        value = config.horizon
-    if value is None:
-        raise DomainError(f"{name} not given and config.horizon unset")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # lineage-chain estimator
 # ---------------------------------------------------------------------------
 
-def simulate_spine(params: ModelParams, n: int | None, config: SimConfig,
+def simulate_spine(params: ModelParams, n: int, config: SimConfig,
                    initial: str | int = "law") -> Estimate:
     """Unbiased estimate of E[Z(n)] by averaging the lineage products
     zeta_1 * ... * zeta_n; O(n) work per replica.
@@ -130,7 +120,7 @@ def simulate_spine(params: ModelParams, n: int | None, config: SimConfig,
     uniform earlier value.  Raises DomainError if a product, or the sum or
     spread of the products, overflows float64.
     """
-    n = int(_resolve_horizon(n, config, "n"))
+    n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     law, q = params.law, params.q
@@ -281,7 +271,7 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum):
     return z, capped
 
 
-def simulate_rgw(params: ModelParams, n: int | None, config: SimConfig,
+def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
                  initial: str | int = "law") -> PopulationResult:
     """Simulate the full reinforced branching population for n generations.
 
@@ -295,7 +285,7 @@ def simulate_rgw(params: ModelParams, n: int | None, config: SimConfig,
     Replicas hitting the population cap are flagged and excluded from
     estimates rather than silently kept.
     """
-    n = int(_resolve_horizon(n, config, "n"))
+    n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     law = params.law
@@ -305,7 +295,9 @@ def simulate_rgw(params: ModelParams, n: int | None, config: SimConfig,
 
     from .analytic import malthusian_rate
 
-    est_final = min(config.population_cap, 4.0 * malthusian_rate(params).m ** n + 4.0)
+    # m ** n overflows a float at deep horizons, so compare in log space first
+    m, cap = malthusian_rate(params).m, config.population_cap
+    est_final = min(cap, 4.0 * m ** n + 4.0) if n * math.log(m) < math.log(cap) else cap
     batch = int(_POP_CELL_BUDGET / ((n + 1) * est_final))
     batch = max(16, min(config.replicas, batch))
     spans = [(lo, min(lo + batch, config.replicas)) for lo in range(0, config.replicas, batch)]
@@ -353,7 +345,7 @@ class YuleResult:
             fh.write(f"{r}," + ",".join(str(v) for v in self.counts[r]) + "\n")
 
 
-def simulate_yule(params: ModelParams, t: float | None, config: SimConfig,
+def simulate_yule(params: ModelParams, t: float, config: SimConfig,
                   initial: str | int = "law") -> YuleResult:
     """Event-driven unit-rate pure-birth process with type inheritance.
 
@@ -374,7 +366,7 @@ def simulate_yule(params: ModelParams, t: float | None, config: SimConfig,
     replicas to a deep horizon is slower than a per-replica loop would be;
     from about 50 replicas up the rounds are faster.
     """
-    t = float(_resolve_horizon(t, config, "t"))
+    t = float(t)
     if not (math.isfinite(t) and t >= 0):
         # a NaN horizon would stop every replica at once, an infinite one never
         raise DomainError(f"t must be finite and >= 0, got {t!r}")

@@ -166,11 +166,22 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:x,2:1"],
     ["moments", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "4", "--initial", "foo"],
     ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "0.5", "--initial", "foo"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "nan"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--rel-tol", "nan"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--rel-tol", "-1"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
     assert code == 1 and out == ""
     assert err.startswith("rgw: error:")
+
+
+def test_deep_population_run_hits_cap_without_overflow():
+    # m ** 2000 overflows a float; the run must still size its batches
+    code, out, err = run_cli_err(["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5",
+                                  "--n", "2000", "--replicas", "10", "--cap", "100"])
+    assert code == 1 and out == ""
+    assert err.strip() == "rgw: error: all replicas hit the population cap"
 
 
 @pytest.mark.parametrize("law, q", [

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate._ivp import rk
 
 from rgw import analytic, ode
 from rgw.errors import BlowUpDetected, DomainError
@@ -63,6 +66,70 @@ def test_domain_and_blowup(mixed_params):
     with pytest.raises(BlowUpDetected) as exc:
         ode.integrate_M(mixed_params, a, rho * (1 - 1e-12), rel_tol=1e-9)
     assert abs(exc.value.time - rho) / rho < 0.02
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": -0.1},
+    {"t_max": 0.3, "rel_tol": math.nan}, {"t_max": 0.3, "rel_tol": -1.0},
+    {"t_max": 0.3, "rel_tol": 0.0}, {"t_max": 0.3, "rel_tol": 1.0},
+    {"t_max": 0.3, "rel_tol": math.inf}, {"t_max": 0.3, "t_eval": [0.0, math.nan]},
+    {"t_max": 0.3, "t_eval": [math.nan]},
+])
+def test_bad_horizon_and_tolerance(mixed_params, kwargs):
+    a = analytic.linear_weights(mixed_params.law)
+    with pytest.raises(DomainError):
+        ode.integrate_M(mixed_params, a, **kwargs)
+
+
+@pytest.mark.parametrize("t_eval", [None, [0.0]])
+def test_zero_horizon_is_one_point(mixed_params, t_eval):
+    a = analytic.linear_weights(mixed_params.law)
+    sol = ode.integrate_M(mixed_params, a, 0.0, t_eval=t_eval)
+    assert sol.grid.tolist() == [0.0]
+    assert sol.values.tolist() == [[1.0, 2.0]]
+    assert (sol.accepted, sol.rejected) == (0, 0)
+
+
+def test_step_counts_match_solver_attempts(mixed_params, monkeypatch):
+    # each attempted step is one rk_step call, accepted or not
+    attempts = []
+    step = rk.rk_step
+
+    def counting(*args):
+        attempts.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(rk, "rk_step", counting)
+    a = analytic.constant_weights(mixed_params.law, 2.0)
+    rho = analytic.explosion_time(mixed_params, a)
+    # approach the blow-up, stopping just short of the 1e8 norm
+    sol = ode.integrate_M(mixed_params, a, rho * (1 - 1e-6), rel_tol=1e-9)
+    assert sol.values.max() > 1e6
+    assert sol.accepted == len(sol.grid) - 1
+    assert sol.rejected > 0
+    assert sol.accepted + sol.rejected == len(attempts)
+
+
+_laws = st.lists(st.integers(0, 5), min_size=2, max_size=3, unique=True).flatmap(
+    lambda pts: st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)).map(
+        lambda w: {k: v / sum(w) for k, v in zip(sorted(pts), w)}
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(law=_laws, q=st.floats(0.1, 0.9),
+       weights=st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3))
+def test_matches_closed_form_random_laws(law, q, weights):
+    params = ModelParams(new_law(law), q)
+    a = analytic.weights_from_map(params.law, dict(zip(params.law.support, weights)))
+    ctx = analytic.AnalyticContext(params, a)
+    rho = ctx.explosion_time
+    ts = np.linspace(0.0, 0.9 * rho if math.isfinite(rho) else 4.0, 9)
+    sol = ode.integrate_M(params, a, float(ts[-1]), rel_tol=1e-9, t_eval=ts)
+    for i, j in enumerate(sol.support):
+        closed = np.array([analytic.mgf_closed(ctx, j, float(t)) for t in ts])
+        assert np.max(np.abs(sol.values[:, i] - closed) / closed) < 1e-6
 
 
 def test_critical_weights_no_blowup(mixed_params):

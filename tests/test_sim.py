@@ -507,11 +507,3 @@ def test_estimate_json_shape(mixed_params):
     est = sim.simulate_spine(mixed_params, 3, sim.SimConfig(seed=1, replicas=100))
     d = est.to_dict(seed=1)
     assert set(d) == {"mean", "std_error", "replicas_used", "capped_fraction", "seed"}
-
-
-def test_horizon_from_config(mixed_params):
-    cfg = sim.SimConfig(seed=1, replicas=50, horizon=4)
-    res = sim.simulate_rgw(mixed_params, None, cfg)
-    assert res.z.shape[1] == 5
-    with pytest.raises(DomainError):
-        sim.simulate_rgw(mixed_params, None, sim.SimConfig(seed=1, replicas=50))
