@@ -76,6 +76,8 @@ def weights_from_map(law: ReproductionLaw, mapping: Mapping[int, float]) -> Weig
             f"weight keys {sorted(keys)} must equal the law support {list(law.support)}"
         )
     vals = {int(k): float(v) for k, v in mapping.items()}
+    if not all(math.isfinite(v) for v in vals.values()):
+        raise DomainError("weights must be finite")
     if any(v < 0 for v in vals.values()):
         raise DomainError("weights must be nonnegative")
     amax = max(vals.values())

@@ -178,8 +178,8 @@ def yule_functional_series(params: ModelParams, ell: int, c: float, t: float,
     """
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
-    if c <= 0:
-        raise DomainError(f"weight factor must be positive, got {c!r}")
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError(f"weight factor must be finite and positive, got {c!r}")
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     mhat = rate if rate is not None else _default_scale(params)

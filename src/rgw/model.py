@@ -153,11 +153,13 @@ def params_from_dict(obj: Mapping) -> ModelParams:
 
 def load_params(path: str) -> ModelParams:
     """Read a law JSON file (counts as string keys)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
     return params_from_dict(obj)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .analytic import AnalyticContext, WeightVector
+from .analytic import AnalyticContext, WeightVector, mgf_closed
 from .errors import BlowUpDetected, DomainError, RgwError
 from .model import ModelParams
 
@@ -117,6 +117,20 @@ def integrate_M(params: ModelParams, a: WeightVector, t_max: float,
     else:
         grid, values = t_eval, sol.sol(t_eval).T
     return OdeSolution(grid, values, support, accepted, rejected, a)
+
+
+def closed_form_error(sol: OdeSolution, ctx: AnalyticContext) -> float:
+    """Sup over the grid of |M_j / closed form - 1| (of |M_j| where a_j = 0),
+    the closed form being analytic.mgf_closed for the same weights."""
+    worst = 0.0
+    for i, j in enumerate(sol.support):
+        got = sol.values[:, i]
+        if sol.a[j] == 0.0:
+            worst = max(worst, float(np.max(np.abs(got))))
+        else:
+            closed = np.array([mgf_closed(ctx, j, float(t)) for t in sol.grid])
+            worst = max(worst, float(np.max(np.abs(got - closed) / np.abs(closed))))
+    return worst
 
 
 def pde_residual_G(params: ModelParams, a: WeightVector, t_grid, s_grid,

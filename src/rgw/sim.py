@@ -3,16 +3,16 @@ and the typed pure-birth (Yule) process.
 
 Replica r draws every variate from a counter-based stream keyed by
 (seed, r), so estimates are reproducible bit-for-bit independent of batch
-sizes or worker scheduling.  Reductions run in replica order.  Every
-engine is vectorised across replicas; the Yule engine advances all live
-replicas by one birth per round (counter layout in `simulate_yule`).
+sizes.  Reductions run in replica order.  Every engine is vectorised
+across replicas.  Lineage and population share one step rule (`_step`,
+`_absorb`) over forebear count vectors, one uniform per child; the Yule
+engine advances all live replicas by one birth per round (counter layout
+in `simulate_yule`).
 """
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +27,6 @@ _SALT_YULE = 0x79
 
 _SPINE_BATCH = 1 << 18
 _POP_CELL_BUDGET = 1.5e7
-
-
-def worker_count() -> int:
-    """Worker bound from RGW_THREADS (default 1); results never depend on it."""
-    raw = os.environ.get("RGW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -99,8 +90,30 @@ def _law_index(cum, u):
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
-def _sample_law(support, cum, u):
-    return support[_law_index(cum, u)]
+def _step(cols, i, u, q, zero, cum):
+    """Support index of the next value on lines with i values so far.
+
+    cols[j] counts a line's values among pos[0..j], j < s-1, and
+    pos[j] has support index j + zero.  u < q repeats a uniform earlier
+    value, picked from u/q; otherwise (u-q)/(1-q) draws a fresh one.
+    """
+    uq = u / q
+    rep = np.full(u.size, zero)
+    for c in cols:
+        rep += uq >= c / i
+    u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+    # _law_index as a scan: the step is O(s) per line already
+    fresh = np.zeros(u.size, dtype=np.int64)
+    for c in cum[:-1]:
+        fresh += u_fresh >= c
+    return np.where(u < q, rep, fresh)
+
+
+def _absorb(cols, idx, zero):
+    """Add the positive values at support indices idx to their lines' cols."""
+    p = idx - zero
+    for j, c in enumerate(cols):
+        c += p <= j
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +170,8 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
                     cols = np.take(cols, live, axis=1)
                 if i == n or slot.size == 0:
                     break
-                p = idx - zero
-                for j in range(s - 1):
-                    cols[j] += p <= j
-                u = uniforms(keys, i)
-                uq = u / q
-                rep = np.full(slot.size, zero)
-                for j in range(s - 1):
-                    rep += uq >= cols[j] / i
-                u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
-                # _law_index as a scan: the step is O(s) per lineage already
-                fresh = np.zeros(slot.size, dtype=np.int64)
-                for c in cum[:-1]:
-                    fresh += u_fresh >= c
-                idx = np.where(u < q, rep, fresh)
+                _absorb(cols, idx, zero)
+                idx = _step(cols, i, uniforms(keys, i), q, zero, cum)
                 prod = prod * value[idx]
         samples[slot] = prod
     # an overflowed product is inf, and inf * 0 = nan
@@ -215,57 +216,48 @@ class PopulationResult:
 def _population_batch(params, n, config, initial, lo, hi, support, cum):
     q = params.q
     b = hi - lo
-    two = np.uint64(2)
+    zero = int(support[0] == 0)
+    s = len(support) - zero
     keys = derive_keys(config.seed, _SALT_POP, np.arange(lo, hi, dtype=np.uint64))
     z = np.zeros((b, n + 1))
     z[:, 0] = 1.0
     capped = np.zeros(b, dtype=bool)
     cap_gen = np.full(b, n + 2, dtype=np.int64)
     base = np.zeros(b, dtype=np.uint64)
-    # individuals are grouped by replica, counts_per_rep of each; par[k] is
-    # the hist column of individual k's parent: hist[d, p] is the offspring
-    # count of parent p's ancestor in generation d (p itself at d = g - 1)
+    # individuals are grouped by replica, counts_per_rep of each; cols[:, k]
+    # counts individual k's forebear values as in _step
     counts_per_rep = np.ones(b, dtype=np.int64)
-    par = np.arange(b)
-    hist = np.empty((0, b), dtype=np.min_scalar_type(int(support[-1])))
+    cols = np.zeros((s - 1, b))
     for g in range(n):
         rep = np.repeat(np.arange(b), counts_per_rep)
         rows = len(rep)
         if rows == 0:
             break
-        starts = np.cumsum(counts_per_rep).astype(np.uint64) - counts_per_rep.astype(np.uint64)
-        # individual k of replica r reads base[r] + 2k and base[r] + 2k + 1
+        starts = np.cumsum(counts_per_rep) - counts_per_rep
+        # individual k of replica r reads counter base[r] + k
         with np.errstate(over="ignore"):
-            ctr = np.arange(0, 2 * rows, 2, dtype=np.uint64)
-            ctr += np.repeat(base - two * starts, counts_per_rep)
-        krep = np.repeat(keys, counts_per_rep)
-        if g == 0:
-            if initial == "law":
-                cnt = _sample_law(support, cum, uniforms(krep, ctr + np.uint64(1)))
-            else:
-                cnt = np.full(rows, int(initial), dtype=np.int64)
+            ctr = np.arange(rows, dtype=np.uint64)
+            ctr += np.repeat(base - starts.astype(np.uint64), counts_per_rep)
+        u = uniforms(np.repeat(keys, counts_per_rep), ctr)
+        if g > 0:
+            idx = _step(cols, g, u, q, zero, cum)
+        elif initial == "law":
+            idx = _law_index(cum, u)
         else:
-            u_anc = uniforms(krep, ctr)
-            u_ch = uniforms(krep, ctr + np.uint64(1))
-            anc_idx = np.minimum((u_anc * g).astype(np.int64), g - 1)
-            anc_val = np.take(hist, anc_idx * hist.shape[1] + par)
-            u_fresh = np.clip((u_ch - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
-            cnt = np.where(u_ch < q, anc_val, _sample_law(support, cum, u_fresh))
+            idx = np.full(rows, np.searchsorted(support, int(initial)))
+        cnt = support[idx]
         with np.errstate(over="ignore"):
-            base += two * counts_per_rep.astype(np.uint64)
+            base += counts_per_rep.astype(np.uint64)
         z_next = np.bincount(rep, weights=cnt.astype(float), minlength=b)
         z[:, g + 1] = z_next
         newly = (~capped) & (z_next > config.population_cap)
         capped |= newly
         cap_gen[newly] = g + 1
         keep = np.flatnonzero(~capped[rep] & (cnt > 0))
-        kc = np.take(cnt, keep)
         counts_per_rep = np.where(capped, 0, z_next).astype(np.int64)
-        grown = np.empty((g + 1, len(kc)), dtype=hist.dtype)
-        np.take(hist, np.take(par, keep), axis=1, out=grown[:g])
-        grown[g] = kc
-        hist = grown
-        par = np.repeat(np.arange(len(kc)), kc)
+        cols = np.take(cols, keep, axis=1)
+        _absorb(cols, np.take(idx, keep), zero)
+        cols = np.repeat(cols, np.take(cnt, keep), axis=1)
     for r in np.nonzero(capped)[0]:
         z[r, cap_gen[r] + 1:] = np.nan
     return z, capped
@@ -275,15 +267,12 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
                  initial: str | int = "law") -> PopulationResult:
     """Simulate the full reinforced branching population for n generations.
 
-    The population keeps one ancestry record per parent (a column of
-    `hist`): the offspring counts of the parent and of all its ancestors.
-    Each child points at its parent's record, so the uniform ancestor
-    lookup is a single gather, and generation g copies g cells per parent
-    rather than per child.  Individual k of replica r (its k-th in
-    generation order) reads counters base + 2k and base + 2k + 1, where
-    base counts the draws of r's earlier generations.
-    Replicas hitting the population cap are flagged and excluded from
-    estimates rather than silently kept.
+    Each individual carries the count vector of its forebears' values and
+    steps with the lineage rule (`_step`) on one uniform: individual k of
+    replica r (its k-th in generation order) reads counter base + k, where
+    base counts r's individuals in earlier generations; a law-drawn root
+    reads counter 0.  Replicas hitting the population cap are flagged and
+    excluded from estimates rather than silently kept.
     """
     n = int(n)
     if n < 1:
@@ -300,24 +289,14 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
     est_final = min(cap, 4.0 * m ** n + 4.0) if n * math.log(m) < math.log(cap) else cap
     batch = int(_POP_CELL_BUDGET / ((n + 1) * est_final))
     batch = max(16, min(config.replicas, batch))
-    spans = [(lo, min(lo + batch, config.replicas)) for lo in range(0, config.replicas, batch)]
 
     z = np.empty((config.replicas, n + 1))
     capped = np.empty(config.replicas, dtype=bool)
-
-    def run(span):
-        lo, hi = span
+    for lo in range(0, config.replicas, batch):
+        hi = min(lo + batch, config.replicas)
         z[lo:hi], capped[lo:hi] = _population_batch(
             params, n, config, initial, lo, hi, support, cum
         )
-
-    workers = worker_count()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
     return PopulationResult(z=z, capped=capped, seed=config.seed)
 
 
@@ -426,8 +405,8 @@ def estimate_yule_functional(params: ModelParams, ell: int, c: float, t: float,
     Replicas containing a type-0 individual contribute exactly 0
     (convention 0^0 = 1 applies only to absent types).
     """
-    if c <= 0:
-        raise DomainError(f"weight factor must be positive, got {c!r}")
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError(f"weight factor must be finite and positive, got {c!r}")
     if c * params.law.kstar > 1.0 + 1e-12:
         warnings.warn(
             f"c*k* = {c * params.law.kstar:.4g} > 1: heavy-tailed product, "

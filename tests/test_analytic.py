@@ -38,6 +38,11 @@ def test_weight_validation(binary_params):
         analytic.weights_from_map(law, {0: -1.0, 2: 1.0})  # negative
     with pytest.raises(DomainError):
         analytic.weights_from_map(law, {0: 0.0, 2: 0.0})   # all zero
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            analytic.weights_from_map(law, {0: bad, 2: 1.0})
+        with pytest.raises(DomainError):
+            analytic.constant_weights(law, bad)
 
 
 def test_context_criticality(mixed_params):

@@ -169,6 +169,11 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "nan"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--rel-tol", "nan"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--rel-tol", "-1"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--c", "nan"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:nan,2:1"],
+    ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "1", "--c", "nan", "--ell", "1"],
+    ["rate", "--law-file", "/nonexistent/law.json"],
+    ["rate", "--law-file", "."],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
@@ -215,6 +220,14 @@ def test_law_file_source(tmp_path):
     code, out = run_cli(["rate", "--law-file", str(path)])
     assert code == 0
     assert abs(json.loads(out)["rate"]["m"] - 1.5) < 1e-10
+
+
+def test_law_file_not_utf8_exits_one(tmp_path):
+    path = tmp_path / "law.json"
+    path.write_bytes(b'\xff\xfe{"law"')
+    code, out, err = run_cli_err(["rate", "--law-file", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error: invalid JSON")
 
 
 def test_out_file(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -266,3 +267,6 @@ def test_series_diverges_at_explosion(mixed_params):
 def test_series_tail_precondition(mixed_params):
     with pytest.raises(DomainError):
         exact.yule_functional_series(mixed_params, 2, 0.55, 1.2, n_terms=4)
+    for c in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            exact.yule_functional_series(mixed_params, 2, c, 0.5, n_terms=40)

@@ -211,13 +211,12 @@ def test_rgw_determinism_across_batches(mixed_params, monkeypatch):
     monkeypatch.setattr(sim, "_POP_CELL_BUDGET", 2000.0)
     small = sim.simulate_rgw(mixed_params, 6, cfg)
     assert np.array_equal(full.z, small.z, equal_nan=True)
-    monkeypatch.setenv("RGW_THREADS", "4")
-    threaded = sim.simulate_rgw(mixed_params, 6, cfg)
-    assert np.array_equal(full.z, threaded.z, equal_nan=True)
 
 
 def test_rgw_population_cap():
-    params = ModelParams(new_law({1: 0.05, 3: 0.95}), 0.8)
+    # about 31 % of replicas stay under the cap, so 50 all capped has
+    # probability near 1e-8 whatever the draws
+    params = ModelParams(new_law({1: 0.5, 3: 0.5}), 0.8)
     res = sim.simulate_rgw(params, 12, sim.SimConfig(seed=3, replicas=50,
                                                      population_cap=40))
     assert res.capped.any()
@@ -251,12 +250,14 @@ def test_rgw_csv(mixed_params):
 
 def _population_reference(params, n, config, initial):
     """One history row per individual, rebuilt every generation with
-    np.repeat: the layout simulate_rgw's per-parent records must match."""
+    np.repeat; each individual's forebear counts come from its own row and
+    it reads one counter.  simulate_rgw must match it draw for draw."""
     q = params.q
-    support, cum, _ = sim._law_tables(params)
+    support, cum, pos = sim._law_tables(params)
+    zero = int(support[0] == 0)
 
-    def sample_law(u):
-        return support[np.minimum(np.searchsorted(cum, u, side="right"), len(support) - 1)]
+    def law_index(u):
+        return np.minimum(np.searchsorted(cum, u, side="right"), len(support) - 1)
 
     b = config.replicas
     keys = derive_keys(config.seed, 0x61, np.arange(b, dtype=np.uint64))
@@ -266,7 +267,7 @@ def _population_reference(params, n, config, initial):
     cap_gen = np.full(b, n + 2, dtype=np.int64)
     base = np.zeros(b, dtype=np.uint64)
     rep = np.arange(b, dtype=np.int64)
-    hist = np.empty((b, 0), dtype=np.int32)
+    hist = np.empty((b, 0), dtype=np.int64)
     for g in range(n):
         rows = len(rep)
         if rows == 0:
@@ -274,20 +275,20 @@ def _population_reference(params, n, config, initial):
         counts_per_rep = np.bincount(rep, minlength=b)
         starts = np.concatenate(([0], np.cumsum(counts_per_rep)[:-1]))
         local = (np.arange(rows) - starts[rep]).astype(np.uint64)
-        ctr = base[rep] + np.uint64(2) * local
+        u = uniforms(keys[rep], base[rep] + local)
         if g == 0:
             if initial == "law":
-                cnt = sample_law(uniforms(keys[rep], ctr + np.uint64(1)))
+                idx = law_index(u)
             else:
-                cnt = np.full(rows, int(initial), dtype=np.int64)
+                idx = np.full(rows, list(support).index(initial))
         else:
-            u_anc = uniforms(keys[rep], ctr)
-            u_ch = uniforms(keys[rep], ctr + np.uint64(1))
-            anc_idx = np.minimum((u_anc * g).astype(np.int64), g - 1)
-            anc_val = hist[np.arange(rows), anc_idx].astype(np.int64)
-            u_fresh = np.clip((u_ch - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
-            cnt = np.where(u_ch < q, anc_val, sample_law(u_fresh))
-        base += np.uint64(2) * counts_per_rep.astype(np.uint64)
+            # cols[:, j]: forebear values among pos[0..j]
+            cols = (hist[:, :, None] <= pos[None, None, :-1]).sum(axis=1)
+            rep_idx = zero + (u[:, None] / q >= cols / g).sum(axis=1)
+            u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+            idx = np.where(u < q, rep_idx, law_index(u_fresh))
+        cnt = support[idx]
+        base += counts_per_rep.astype(np.uint64)
         z_next = np.bincount(rep, weights=cnt.astype(float), minlength=b)
         z[:, g + 1] = z_next
         newly = (~capped) & (z_next > config.population_cap)
@@ -295,9 +296,7 @@ def _population_reference(params, n, config, initial):
         cap_gen[newly] = g + 1
         keep = ~capped[rep] & (cnt > 0)
         rep = np.repeat(rep[keep], cnt[keep])
-        hist = np.repeat(
-            np.column_stack([hist[keep], cnt[keep].astype(np.int32)]), cnt[keep], axis=0
-        )
+        hist = np.repeat(np.column_stack([hist[keep], cnt[keep]]), cnt[keep], axis=0)
     for r in np.nonzero(capped)[0]:
         z[r, cap_gen[r] + 1:] = np.nan
     return z, capped
@@ -320,6 +319,8 @@ def test_rgw_matches_per_individual_history(law, q, n, initial, cap):
     assert np.array_equal(res.z, z, equal_nan=True)
     assert np.array_equal(res.capped, capped)
     if cap == 200:
+        # about 3 % of replicas stay under the cap: all 300 capped has
+        # probability near 1e-4, none capped near 0
         assert capped.any() and not capped.all()
 
 
