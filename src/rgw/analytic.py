@@ -10,23 +10,26 @@ closed-form moment generating functions, and the conditional limit
 constants all reduce to these three primitives.
 
 The integrand has a branch point at the right endpoint x* = 1/max(a) with
-exponent E = sum of nu(j)(1-q)/q over the maximal-weight group.  Tail
-integrals are computed with Gauss-Jacobi quadrature in the weight
-(1 - x a_max)^E, which restores spectral accuracy there; naive adaptive
-rules lose several digits when E < 1.
+exponent E = sum of nu(j)(1-q)/q over the maximal-weight group.  Every
+integral of Pi_a goes through one adaptive panel rule (no QUADPACK): each
+panel is computed at Gauss orders 20 and 40 and halved until the two agree.
+The panel touching x* carries (1 - x a_max)^E in a Gauss-Jacobi weight
+(E <= 50), which restores spectral accuracy there; every other panel is
+Gauss-Legendre.  One bracketed Newton helper inverts I_a and its tail, and
+an iteration that does not settle raises NotConverged.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 from scipy import special as _scipy_special
 
-from .errors import DomainError, QuadratureInconsistent, UnsupportedTie
+from .errors import DomainError, NotConverged, QuadratureInconsistent, UnsupportedTie
 from .model import ModelParams, ReproductionLaw, mean
 
 # |i_a - q| below this counts as critical; critical contexts are always
@@ -35,14 +38,52 @@ CRITICALITY_TOL = 1e-10
 # i_a >= q - EXPLOSION_TOL means no explosion
 EXPLOSION_TOL = 1e-12
 # above this combined endpoint exponent the integrand is flat at x*, not
-# singular, and plain adaptive quadrature is the better tool
+# singular, and the endpoint panel is Gauss-Legendre like the others
 _GJ_MAX_EXPONENT = 50.0
-_GJ_ORDERS = (8, 16, 32, 64, 128, 256, 512)
-_QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-13, limit=400)
+# the panel rule: the order pair compared on each panel, the agreement
+# asked of the pair relative to the running total, and the panel budget
+_ORDERS = (20, 40)
+_PANEL_TOL = 1e-14
+_PANEL_BUDGET = 4096
+_NEWTON_MAX_ITER = 100
+# gamma: the horizon doubles up to this cap, and the analytic tail
+# correction at an unsettled cap may be at most this large
+_GAMMA_HORIZON = 512.0
+_GAMMA_TAIL_MAX = 1e-6
 
 CRITICAL = "critical"
 EXPLOSIVE = "subcritical-explosive"
 NON_EXPLOSIVE = "non-explosive"
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss(alpha: float, orders: tuple[int, ...] = _ORDERS) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rules of the given orders on [-1, 1]
+    with weight (1 - u)^alpha, concatenated; alpha = 0 is Gauss-Legendre."""
+    rules = [_scipy_special.roots_jacobi(n, alpha, 0.0) for n in orders]
+    return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def _newton(fun, deriv, target: float, x: float, hi: float) -> float:
+    """Solve fun(x) = target for increasing fun on [0, hi] by Newton steps
+    kept inside the shrinking bracket, bisecting where a step leaves it."""
+    lo = 0.0
+    for _ in range(_NEWTON_MAX_ITER):
+        f = fun(x) - target
+        if f > 0:
+            hi = x
+        else:
+            lo = x
+        if abs(f) <= 2e-14 * target:
+            return x
+        d = deriv(x)
+        new = x - f / d if d > 0 else 0.5 * (lo + hi)
+        if not (lo < new < hi):
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= 1e-16 * x:
+            return new
+        x = new
+    raise NotConverged(f"Newton unsettled after {_NEWTON_MAX_ITER} iterations (target {target!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +175,8 @@ class AnalyticContext:
         self._E = math.fsum(self.exponents[j] for j in grp)
         self._rest_w = np.array([w for _, w in rest], dtype=float)
         self._rest_e = np.array([self.exponents[j] for j, _ in rest], dtype=float)
-        self._jacobi_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-        self.i_total = self._tail(0.0)
+        self.i_total = self._integral(self.x_star)
         gap = self.i_total - q
         if abs(gap) <= CRITICALITY_TOL:
             self.criticality = CRITICAL
@@ -162,107 +202,65 @@ class AnalyticContext:
         """Pi_a(x* - sigma) without forming 1 - x*a_max (cancellation-free)."""
         return float(self._smooth(self.x_star - sigma)) * (self.a.amax * sigma) ** self._E
 
-    def _jacobi(self, order: int):
-        if order not in self._jacobi_cache:
-            self._jacobi_cache[order] = _scipy_special.roots_jacobi(order, self._E, 0.0)
-        return self._jacobi_cache[order]
+    def _integral(self, width: float, tail: bool = True) -> float:
+        """integral_0^width of Pi_a(x* - s) ds (tail: s is the distance from
+        x*, so tiny tails keep their relative accuracy) or of Pi_a(s) ds.
 
-    def _panel_width_cap(self) -> float:
-        """Widest Gauss-Jacobi panel on which the smooth factor stays tame:
-        clear of the other branch points and of fast local variation."""
-        w = self.x_star
-        if self._rest_w.size:
-            d_next = 1.0 / self._rest_w.max() - self.x_star
-            w = min(w, 0.5 * d_next)
-            local = float(np.sum(self._rest_e * self._rest_w / (1.0 - self.x_star * self._rest_w)))
-            if local > 0:
-                w = min(w, 3.0 / local)
-        return w
-
-    def _gj_panel(self, width: float) -> tuple[float, bool]:
-        """integral over [x* - width, x*], parametrized by the width so the
-        endpoint distance never suffers absolute-position rounding.
-
-        With s = x* - y the integrand is (a_max s)^E * smooth(x* - s); the
-        (1-u)^E Gauss-Jacobi weight absorbs the first factor exactly.
+        Every pending panel is computed at orders 20 and 40 in one pass; a
+        panel whose two values agree to _PANEL_TOL of the running total is
+        accepted and every other one is halved.  In the tail frame the panel
+        at s = 0 takes (a_max s)^E into a Gauss-Jacobi weight while
+        E <= _GJ_MAX_EXPONENT; every other panel is Gauss-Legendre.
         """
-        amax = self.a.amax
-        half = 0.5 * width
-        prev = None
-        for order in _GJ_ORDERS:
-            nodes, wts = self._jacobi(order)
-            # s = half * (1 - u); u = 1 is the singular endpoint y = x*
-            g = self._smooth(self.x_star - half * (1.0 - nodes))
-            cur = (amax * half) ** self._E * half * float(np.dot(wts, g))
-            if prev is not None and abs(cur - prev) <= 1e-14 * abs(cur) + 1e-305:
-                return cur, True
-            prev = cur
-        return prev, False
-
-    def _tail_sigma(self, sigma: float) -> float:
-        """integral over [x* - sigma, x*] as an exact function of sigma."""
-        if sigma <= 0:
-            return 0.0
-        sigma = min(sigma, self.x_star)
-        if self._E > _GJ_MAX_EXPONENT:
-            lo = self.x_star - sigma
-            val, _ = _scipy_integrate.quad(
-                lambda y: float(self._pi(y)), lo, self.x_star, **_QUAD_OPTS
-            )
-            return val
-        w = min(sigma, self._panel_width_cap())
-        for _ in range(6):
-            val, converged = self._gj_panel(w)
-            if converged:
-                break
-            w *= 0.25
-        if w < sigma:
-            # remainder is far from the endpoint; absolute positions are fine
-            rest, _ = _scipy_integrate.quad(
-                lambda y: float(self._pi(y)), self.x_star - sigma, self.x_star - w,
-                **_QUAD_OPTS,
-            )
-            val = math.fsum((val, rest))
-        return val
-
-    def _tail(self, x: float) -> float:
-        """integral_x^{x*} Pi_a(y) dy with the endpoint weight integrated exactly."""
-        return self._tail_sigma(self.x_star - x)
+        amax, E = self.a.amax, self._E
+        jacobi = tail and E <= _GJ_MAX_EXPONENT
+        leg_u, leg_w = _gauss(0.0)
+        jac_u, jac_w = _gauss(E) if jacobi else (leg_u, leg_w)
+        lo, hi = np.zeros(1), np.array([float(width)])
+        done: list[float] = []
+        evaluated = 0
+        while lo.size:
+            evaluated += lo.size
+            if evaluated > _PANEL_BUDGET:
+                raise NotConverged(f"panel rule exceeded {_PANEL_BUDGET} panels")
+            half = 0.5 * (hi - lo)[:, None]
+            sing = (lo == 0.0)[:, None] & jacobi
+            s = lo[:, None] + half * (1.0 - np.where(sing, jac_u, leg_u))
+            if tail:
+                f = self._smooth(self.x_star - s) * (amax * np.where(sing, half, s)) ** E
+            else:
+                f = self._pi(s)
+            fw = half * f * np.where(sing, jac_w, leg_w)
+            low, high = fw[:, :_ORDERS[0]].sum(axis=1), fw[:, _ORDERS[0]:].sum(axis=1)
+            if not np.all(np.isfinite(high)):
+                raise NotConverged("panel rule met a non-finite panel sum")
+            total = math.fsum(done) + float(high.sum())
+            # the absolute floor only acts on subnormal totals, which lack the digits
+            ok = np.abs(high - low) <= _PANEL_TOL * abs(total) + 1e-305
+            done.extend(high[ok].tolist())
+            lo, hi = lo[~ok], hi[~ok]
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        return math.fsum(done)
 
     def _inverse_tail(self, eps: float) -> float:
-        """Solve tail(x* - sigma) = eps for sigma (safeguarded Newton).
+        """Solve tail(x* - sigma) = eps for sigma.
 
         The tail behaves like C sigma^(E+1) near 0, so the power-law guess
-        lands within a few Newton steps at any scale; the bracket is always
-        maintained because the derivative Pi_a vanishes at x*.
+        (in logs: a_max^E may overflow; x* if the smooth factor underflows)
+        lands within a few Newton steps at any scale.
         """
         if eps <= 0.0:
             return 0.0
         if eps >= self.i_total:
             return self.x_star
-        E = self._E
-        g0 = float(self._smooth(self.x_star))
-        sigma = (eps * (E + 1.0) / (g0 * self.a.amax**E)) ** (1.0 / (E + 1.0))
-        sigma = min(max(sigma, 1e-300), self.x_star)
-        lo, hi = 0.0, self.x_star
-        for _ in range(100):
-            f = self._tail_sigma(sigma) - eps
-            if f > 0:
-                hi = sigma
-            else:
-                lo = sigma
-            if abs(f) <= 2e-14 * eps:
-                break
-            deriv = self._pi_from_sigma(sigma)
-            step = f / deriv if deriv > 0 else None
-            new = sigma - step if step is not None else 0.5 * (lo + hi)
-            if not (lo < new < hi):
-                new = 0.5 * (lo + hi)
-            if abs(new - sigma) <= 1e-16 * sigma:
-                sigma = new
-                break
-            sigma = new
-        return sigma
+        E, g0 = self._E, float(self._smooth(self.x_star))
+        sigma = self.x_star
+        if g0 > 0:
+            log_sigma = (math.log(eps) + math.log1p(E) - math.log(g0)
+                         - E * math.log(self.a.amax)) / (E + 1.0)
+            sigma = min(math.exp(min(log_sigma, math.log(sigma))), sigma)
+        return _newton(self._integral, self._pi_from_sigma, eps, sigma, self.x_star)
 
     @property
     def explosion_time(self) -> float:
@@ -289,14 +287,16 @@ def pi_weighted(ctx: AnalyticContext, x: float) -> float:
 
 
 def pi_integral(ctx: AnalyticContext, x: float) -> float:
-    """I_a(x) = integral_0^x Pi_a(y) dy, relative error <= 1e-11."""
+    """I_a(x) = integral_0^x Pi_a(y) dy, relative error <= 1e-11.
+
+    Below x*/2 the panel rule runs in y from 0 (capped at i_a, which it
+    can pass by rounding when I_a saturates); above, I_a(x) is i_a minus
+    the tail, which the rule computes in the distance from x*.
+    """
     x = _check_in_domain(ctx, x)
-    if x == 0.0:
-        return 0.0
     if x < 0.5 * ctx.x_star:
-        val, _ = _scipy_integrate.quad(lambda y: float(ctx._pi(y)), 0.0, x, **_QUAD_OPTS)
-        return val
-    return ctx.i_total - ctx._tail(x)
+        return min(ctx._integral(x, tail=False), ctx.i_total)
+    return ctx.i_total - ctx._integral(ctx.x_star - x)
 
 
 def pi_integral_inverse(ctx: AnalyticContext, v: float) -> float:
@@ -305,27 +305,13 @@ def pi_integral_inverse(ctx: AnalyticContext, v: float) -> float:
     if not (-slack <= v <= ctx.i_total + slack):
         raise DomainError(f"value {v!r} outside [0, {ctx.i_total!r}]")
     v = min(max(v, 0.0), ctx.i_total)
-    if v >= 0.5 * ctx.i_total:
+    # each half is inverted in the frame pi_integral computes it in
+    half = 0.5 * ctx.x_star
+    if v >= pi_integral(ctx, half):
         return ctx.x_star - ctx._inverse_tail(ctx.i_total - v)
-    # lower half: Newton on I directly, I'(x) = Pi_a(x) >= Pi_a(x*/2) > 0 here
-    x = min(v, 0.5 * ctx.x_star)  # I(x) <= x so the root is >= v
-    lo, hi = 0.0, ctx.x_star
-    for _ in range(100):
-        f = pi_integral(ctx, x) - v
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) <= 1e-14 * max(v, 1e-300):
-            break
-        new = x - f / float(ctx._pi(x))
-        if not (lo < new < hi):
-            new = 0.5 * (lo + hi)
-        if abs(new - x) <= 1e-16 * max(x, 1.0):
-            x = new
-            break
-        x = new
-    return x
+    # I(x) <= x, so the root is >= v
+    return _newton(lambda x: pi_integral(ctx, x), lambda x: float(ctx._pi(x)),
+                   v, min(v, half), half)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +393,7 @@ class _FlowPoint:
 
 def _flow_point(ctx: AnalyticContext, t: float) -> _FlowPoint:
     q = ctx.params.q
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
     if t >= ctx.explosion_time:
         raise DomainError(f"t={t!r} is not below the explosion time {ctx.explosion_time!r}")
@@ -490,18 +476,9 @@ def critical_context(params: ModelParams, rate: float | None = None) -> Analytic
     return AnalyticContext(params, critical_weights(params, rate))
 
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _legendre(order: int):
-    if order not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _LEGENDRE_CACHE[order]
-
-
 def _integrate_phi_shift(ctx: AnalyticContext, beta: float, lo: float, hi: float) -> float:
     """integral_lo^hi (phi(t) + 1/beta) dt by composite Gauss-Legendre."""
-    nodes, wts = _legendre(24)
+    nodes, wts = _gauss(0.0, (24,))
     n_panels = max(1, int(math.ceil((hi - lo) / 2.0)))
     edges = np.linspace(lo, hi, n_panels + 1)
     pieces = []
@@ -527,9 +504,12 @@ def _gamma_sequence(params: ModelParams) -> list[tuple[float, float]]:
         total += _integrate_phi_shift(ctx, beta, lo, T)
         seq.append((T, math.exp(total)))
         done = len(seq) > 1 and abs(seq[-1][1] - seq[-2][1]) < 1e-9
-        if done or T >= 512.0:
-            # remaining mass: integrand ~ C e^{-t/beta}, tail ~ f(T)*beta
+        if done or T >= _GAMMA_HORIZON:
+            # remaining mass: integrand ~ C e^{-t/beta}, tail ~ f(T)*beta; the
+            # error of that estimate is about its square
             tail_est = (phi(ctx, T) + 1.0 / beta) * beta
+            if not done and abs(tail_est) > _GAMMA_TAIL_MAX:
+                raise NotConverged(f"gamma unsettled at T={T:g}: tail correction {tail_est:.3g}")
             seq.append((math.inf, math.exp(total + tail_est)))
             return seq
         lo, T = T, 2.0 * T
@@ -540,7 +520,8 @@ def gamma_constant(params: ModelParams) -> float:
 
     The horizon doubles until successive values agree to 1e-9; the
     exponentially small remainder beyond the final horizon is then added
-    from its leading-order estimate.
+    from its leading-order estimate.  Raises NotConverged when the horizon
+    cap is reached unsettled with a correction above 1e-6.
     """
     return _gamma_sequence(params)[-1][1]
 

@@ -52,8 +52,11 @@ def _jsonify(obj):
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RgwError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -186,13 +189,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_yule(args) -> int:
+    if (args.c is None) != (args.ell is None):
+        raise RgwError("--c and --ell must be given together")
+    if args.c is not None and args.format == "csv":
+        raise RgwError("the functional estimate is JSON only; use --format json")
     params = _resolve_params(args)
     config = sim.SimConfig(seed=args.seed, replicas=args.replicas,
                            population_cap=args.cap)
     cfg = _base_config(params, t=args.t, seed=args.seed, replicas=args.replicas,
                        cap=args.cap, initial=args.initial)
-    if (args.c is None) != (args.ell is None):
-        raise RgwError("--c and --ell must be given together")
     if args.c is not None:
         cfg.update(c=args.c, ell=args.ell)
         est = sim.estimate_yule_functional(params, args.ell, args.c, args.t, config)
@@ -278,6 +283,8 @@ def _cmd_ode_check(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    if args.format == "csv":
+        raise RgwError("asymptotics is JSON only; use --format json")
     params = _resolve_params(args)
     prof = analytic.malthusian_rate(params)
     gam = analytic.gamma_constant(params)

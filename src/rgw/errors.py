@@ -56,3 +56,7 @@ class BlowUpDetected(RgwError):
 
 class PopulationCapExceeded(RgwError):
     """Every replica hit the population cap; no usable estimate remains."""
+
+
+class NotConverged(RgwError):
+    """An iterative numerical kernel stopped before meeting its tolerance."""

@@ -54,10 +54,16 @@ class MomentTable:
             fh.write(f"{n},{ez:.12g},{sc:.12g}\n")
 
 
-def _default_scale(params: ModelParams) -> float:
-    from .analytic import malthusian_rate
+def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale") -> float:
+    """The caller's scale, which must be finite and positive, or the
+    computed Malthusian rate."""
+    if scale is None:
+        from .analytic import malthusian_rate
 
-    return malthusian_rate(params).m
+        return malthusian_rate(params).m
+    if not (math.isfinite(scale) and scale > 0):
+        raise DomainError(f"{what} must be finite and positive, got {scale!r}")
+    return scale
 
 
 def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
@@ -76,8 +82,7 @@ def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
     n_states = math.comb(n_max + s - 1, s - 1)
     if n_states > _STATE_CAP:
         raise StateExplosion(f"{n_states} composition states exceed cap {_STATE_CAP}")
-    if scale is None:
-        scale = _default_scale(params)
+    scale = _resolve_scale(params, scale)
 
     scaled = np.zeros(n_max + 1)
     scaled[0] = 1.0
@@ -125,8 +130,7 @@ def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> Momen
     if n_max > _URN_N_CAP:
         raise StateExplosion(f"urn partitions beyond n={_URN_N_CAP} are not tabulated")
     law, q = params.law, params.q
-    if scale is None:
-        scale = _default_scale(params)
+    scale = _resolve_scale(params, scale)
     pos = np.array(law.positive_support, dtype=float)
     pr = np.array([law.mass(int(j)) for j in pos])
     # scaled moments sum_j nu(j) (j/scale)^s stay finite where j^s would not
@@ -176,13 +180,13 @@ def yule_functional_series(params: ModelParams, ell: int, c: float, t: float,
     population at time t started from type ell.  Raises SeriesDiverges when
     c(1-e^-t) is at or beyond the series radius 1/m.
     """
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"weight factor must be finite and positive, got {c!r}")
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    mhat = rate if rate is not None else _default_scale(params)
+    mhat = _resolve_scale(params, rate, "rate")
     x = -math.expm1(-t)  # 1 - e^-t
     r = c * x * mhat
     if r >= 1.0:

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rgw import analytic
-from rgw.errors import DomainError, UnsupportedTie
+from rgw.errors import DomainError, NotConverged, UnsupportedTie
 from rgw.model import ModelParams, new_law
 from tests.conftest import random_law
 
@@ -105,6 +108,120 @@ def test_integral_monotone_and_inverse(mixed_params):
         assert analytic.pi_integral_inverse(ctx, v) == pytest.approx(float(x), abs=1e-13)
     with pytest.raises(DomainError):
         analytic.pi_integral_inverse(ctx, ctx.i_total * 1.01)
+
+
+def _mp_integral(law, q, x):
+    """I(x) for linear weights by mpmath's tanh-sinh quadrature at 30 digits,
+    on panels graded towards 0 (where Pi_a concentrates when q is small)
+    and with the singular endpoint x* = 1/k* as a panel end."""
+    with mpmath.workdps(30):
+        expo = {j: mpmath.mpf(law.mass(j)) * (1 - mpmath.mpf(q)) / q
+                for j in law.support if j > 0}
+
+        def pi(y):
+            return mpmath.fprod((1 - y * j) ** e for j, e in expo.items())
+
+        def graded(b):
+            return [b * f for f in (0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1)]
+
+        x_star = mpmath.mpf(1) / law.kstar
+        x = min(mpmath.mpf(x), x_star)  # the double x* may round above 1/k*
+        if x < x_star / 2:
+            return mpmath.quad(pi, graded(x))
+        return mpmath.quad(pi, graded(x_star)) - mpmath.quad(pi, [x, x_star])
+
+
+# 2-4 point laws; q down to 1e-3 puts E far above _GJ_MAX_EXPONENT
+_laws = st.lists(st.integers(0, 7), min_size=2, max_size=4, unique=True).filter(
+    lambda pts: max(pts) > 0).flatmap(
+    lambda pts: st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)).map(
+        lambda w: new_law({k: v / sum(w) for k, v in zip(sorted(pts), w)})))
+_qs = st.floats(math.log(1e-3), math.log(0.95)).map(math.exp)
+_FRACTIONS = (1e-9, 1e-3, 0.3, 0.7, 1 - 1e-6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(law=_laws, q=_qs)
+@example(law=new_law({1: 0.5, 7: 0.5}), q=1e-3)
+@example(law=new_law({0: 0.5, 5: 0.5}), q=math.exp(-1.0))
+def test_rate_and_integral_match_mpmath(law, q):
+    params = ModelParams(law, q)
+    ctx = analytic.AnalyticContext(params, analytic.linear_weights(law))
+    m = analytic.malthusian_rate(params).m
+    assert abs(m / float(q / _mp_integral(law, q, ctx.x_star)) - 1) <= 1e-12
+    for f in _FRACTIONS:
+        x = f * ctx.x_star
+        want = float(_mp_integral(law, q, x))
+        assert abs(analytic.pi_integral(ctx, x) / want - 1) <= 1e-12, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_laws, q=_qs)
+@example(law=new_law({1: 0.5, 7: 0.5}), q=1e-3)
+@example(law=new_law({2: 0.25, 4: 0.25, 6: 0.25, 7: 0.25}), q=1e-3)  # subnormal tails
+def test_inverse_residual(law, q):
+    # at small q, I saturates to i_total in double precision, so the inverse
+    # is judged by its residual, not by its distance to x
+    ctx = analytic.AnalyticContext(ModelParams(law, q), analytic.linear_weights(law))
+    for f in _FRACTIONS:
+        v = analytic.pi_integral(ctx, f * ctx.x_star)
+        x_hat = analytic.pi_integral_inverse(ctx, v)
+        assert abs(analytic.pi_integral(ctx, x_hat) - v) <= 1e-13 * ctx.i_total, f
+
+
+def test_small_x_integral_keeps_relative_accuracy(mixed_params):
+    ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
+    x = 1e-9 * ctx.x_star
+    want = float(_mp_integral(mixed_params.law, mixed_params.q, x))
+    assert abs(analytic.pi_integral(ctx, x) / want - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-5, 1e-8, 1e-12])
+def test_near_tied_weights_total(mixed_params, d):
+    # the second branch point sits d/(2(2-d)) beyond x* = 1/2
+    a = analytic.weights_from_map(mixed_params.law, {1: 2.0 - d, 2: 2.0})
+    ctx = analytic.AnalyticContext(mixed_params, a)
+    with mpmath.workdps(40):
+        a1 = 2 - mpmath.mpf(d)
+        half = mpmath.mpf(1) / 2
+        want = mpmath.quad(lambda y: mpmath.sqrt((1 - y * a1) * (1 - 2 * y)),
+                           [0, half * (1 - mpmath.mpf(d)), half])
+    assert abs(ctx.i_total / float(want) - 1) <= 1e-15
+
+
+@pytest.mark.parametrize("masses", [{1: 0.5, 6: 0.5}, {5: 0.5, 6: 0.5}])
+def test_newton_start_does_not_overflow(masses):
+    # E = 499.5 and a_max = 6: a_max**E overflows a float; for {5, 6} the
+    # smooth factor (1/6)^499.5 at x* also underflows to 0
+    law, q = new_law(masses), 0.001
+    ctx = analytic.AnalyticContext(ModelParams(law, q), analytic.linear_weights(law))
+    for t in (0.1, 0.5, 0.9):
+        t *= ctx.explosion_time
+        value, deriv = analytic.flow(ctx, t)
+        assert 0.0 < q * value < ctx.x_star and math.isfinite(deriv)
+        v = -q * math.expm1(-t)
+        assert abs(analytic.pi_integral(ctx, q * value) - v) <= 1e-13 * ctx.i_total
+
+
+def test_panel_rule_raises_when_not_converged(mixed_params, monkeypatch):
+    a = analytic.weights_from_map(mixed_params.law, {1: 2.0 - 1e-8, 2: 2.0})
+    monkeypatch.setattr(analytic, "_PANEL_BUDGET", 8)
+    with pytest.raises(NotConverged):
+        analytic.AnalyticContext(mixed_params, a)  # needs ~27 halvings at x*
+    monkeypatch.undo()
+    ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
+    monkeypatch.setattr(ctx, "_smooth", lambda y: np.full(np.shape(y), math.nan))
+    with pytest.raises(NotConverged):
+        analytic.pi_integral(ctx, 0.1)
+
+
+def test_newton_raises_at_iteration_cap(mixed_params, monkeypatch):
+    ctx = analytic.critical_context(mixed_params)
+    monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NotConverged):
+        analytic.flow(ctx, 2.0)
+    with pytest.raises(NotConverged):
+        analytic.pi_integral_inverse(ctx, 0.1 * ctx.i_total)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +334,9 @@ def test_flow_domain_errors(mixed_params):
         analytic.flow(ctx, rho)
     with pytest.raises(DomainError):
         analytic.flow(ctx, -0.5)
+    for fn in (analytic.flow, analytic.phi, lambda c, t: analytic.mgf_closed(c, 1, t)):
+        with pytest.raises(DomainError):
+            fn(ctx, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +415,23 @@ def test_gamma_quadrature_matches_closed_form(mixed_params):
     assert quad == pytest.approx(closed, abs=1e-7)
     # regression anchor recorded at build time
     assert quad == pytest.approx(1.3091926758, abs=1e-6)
+
+
+def test_gamma_unsettled_at_horizon_cap_raises(mixed_params, binary_params, monkeypatch):
+    # at T = 8 the mixed law's tail correction is about 5e-3; the binary
+    # law's phi is constant, so its correction is 0 and the value stands
+    monkeypatch.setattr(analytic, "_GAMMA_HORIZON", 8.0)
+    with pytest.raises(NotConverged):
+        analytic.gamma_constant(mixed_params)
+    assert analytic.gamma_constant(binary_params) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_gamma_small_q_within_cap():
+    # beta = 50.5: gamma needs the full horizon cap, where the tail
+    # correction (about 7e-9) is still small enough to stand
+    params = ModelParams(new_law({1: 0.5, 2: 0.5}), 0.02)
+    want = analytic.gamma_closed_form(params)
+    assert analytic.gamma_constant(params) == pytest.approx(want, rel=1e-11)
 
 
 def test_gamma_stability_under_horizon_doubling(mixed_params):

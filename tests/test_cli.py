@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -174,11 +175,25 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "1", "--c", "nan", "--ell", "1"],
     ["rate", "--law-file", "/nonexistent/law.json"],
     ["rate", "--law-file", "."],
+    ["rate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--out", "/nonexistent/x"],
+    ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--format", "csv"],
+    ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "1", "--c", "0.3", "--ell", "1",
+     "--format", "csv"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
     assert code == 1 and out == ""
     assert err.startswith("rgw: error:")
+
+
+def test_ode_check_start_guess_does_not_overflow():
+    # E = 499.5 with a_max = 6: a_max**E overflows a float
+    code, out, err = run_cli_err(["ode-check", "--law", "1:0.5,6:0.5", "--q", "0.001",
+                                  "--weights", "1:1,6:6"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)["ode"]
+    assert 0.0 <= doc["sup_rel_err_vs_closed_form"] < 1e-6
+    assert math.isfinite(doc["explosion_time"])
 
 
 def test_deep_population_run_hits_cap_without_overflow():

@@ -155,6 +155,9 @@ def test_spine_dp_errors(mixed_params):
     wide = ModelParams(new_law({k: 1 / 8 for k in range(1, 9)}), 0.5)
     with pytest.raises(StateExplosion):
         exact.spine_dp(wide, 120)
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            exact.spine_dp(mixed_params, 3, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,9 @@ def test_urn_dp_errors(mixed_params):
         exact.urn_dp(mixed_params, 61)
     with pytest.raises(DomainError):
         exact.urn_dp(mixed_params, 0)
+    for scale in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            exact.urn_dp(mixed_params, 3, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +276,7 @@ def test_series_tail_precondition(mixed_params):
     for c in (math.nan, math.inf):
         with pytest.raises(DomainError):
             exact.yule_functional_series(mixed_params, 2, c, 0.5, n_terms=40)
+    with pytest.raises(DomainError):
+        exact.yule_functional_series(mixed_params, 2, 0.3, math.nan, n_terms=40)
+    with pytest.raises(DomainError):
+        exact.yule_functional_series(mixed_params, 2, 0.3, 0.5, n_terms=40, rate=math.nan)
