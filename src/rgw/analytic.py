@@ -384,10 +384,8 @@ def explosion_time(params: ModelParams, a: WeightVector) -> float:
 
 @dataclass(frozen=True)
 class _FlowPoint:
-    t: float
     x: float          # q A(t) = I_a^{-1}(q (1 - e^{-t}))
     sigma: float      # x* - x, kept separately for cancellation-free factors
-    value: float      # A(t)
     deriv: float      # A'(t) = e^{-t} / Pi_a(q A(t))
 
 
@@ -408,7 +406,7 @@ def _flow_point(ctx: AnalyticContext, t: float) -> _FlowPoint:
     else:
         pi_x = 0.0
     deriv = math.exp(-t) / pi_x if pi_x > 0 else math.inf
-    return _FlowPoint(t=t, x=x, sigma=sigma, value=x / q, deriv=deriv)
+    return _FlowPoint(x=x, sigma=sigma, deriv=deriv)
 
 
 def flow(ctx: AnalyticContext, t: float) -> tuple[float, float]:
@@ -419,7 +417,7 @@ def flow(ctx: AnalyticContext, t: float) -> tuple[float, float]:
     absolute tolerance well below 1e-13 in the argument.
     """
     fp = _flow_point(ctx, t)
-    return fp.value, fp.deriv
+    return fp.x / ctx.params.q, fp.deriv
 
 
 def phi(ctx: AnalyticContext, t: float) -> float:

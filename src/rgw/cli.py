@@ -1,15 +1,17 @@
 """Command-line front end: reports from every module, JSON or CSV.
 
-Numeric output is printed with 12 significant digits and every subcommand
-echoes its fully resolved configuration, so identical invocations produce
-byte-identical reports (timestamps and wall-clock never appear).
+Only this module formats output: the numeric modules return numbers, and
+`_emit_json` and `_emit_csv` print them with 12 significant digits.  Every
+subcommand echoes its fully resolved configuration, so identical
+invocations produce byte-identical reports (timestamps and wall-clock
+never appear).
 
 Exit codes: 0 success, 1 validation/usage error, 2 verification failure.
 """
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import analytic, exact, ode, sim, verify
 from .errors import RgwError
-from .model import ModelParams, load_params, params_to_dict, parse_law
+from .model import ModelParams, load_params, params_to_dict, parse_law, parse_pairs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,9 +67,14 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
     _emit(json.dumps(_jsonify(payload), indent=2) + "\n", out_path)
 
 
-def _csv_header(config: dict) -> str:
-    keys = sorted(config)
-    return "".join(f"# {k}={config[k]}\n" for k in keys)
+def _emit_csv(config: dict, header, rows, out_path: str | None) -> None:
+    """The sorted "# key=value" config lines, the header row, then one line
+    per row; a float cell prints with 12 significant digits."""
+    lines = [f"# {k}={config[k]}\n" for k in sorted(config)]
+    lines.append(",".join(header) + "\n")
+    lines.extend(",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
+                 + "\n" for row in rows)
+    _emit("".join(lines), out_path)
 
 
 def _add_law_args(p: _Parser) -> None:
@@ -123,16 +130,11 @@ def _cmd_rate(args) -> int:
             "error_exponent": prof.error_exponent,
             "lower": prof.lower,
             "upper": prof.upper,
-            "explosion_time_linear_weights": rho if math.isfinite(rho) else "inf",
+            "explosion_time_linear_weights": rho,
         },
     }
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(_csv_header(payload["config"]))
-        buf.write("key,value\n")
-        for k, v in payload["rate"].items():
-            buf.write(f"{k},{v:.12g}\n" if isinstance(v, float) else f"{k},{v}\n")
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(payload["config"], ("key", "value"), payload["rate"].items(), args.out)
     else:
         _emit_json(payload, args.out)
     return 0
@@ -149,17 +151,13 @@ def _cmd_moments(args) -> int:
         table = exact.spine_dp(params, args.n, initial=initial)
     config = _base_config(params, n=args.n, initial=args.initial,
                           method=args.method, scale=_round12(table.scale))
+    header = ("n", "EZ", "scaled")
+    rows = zip(range(len(table.scaled)), table.values.tolist(), table.scaled.tolist())
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(_csv_header(config))
-        table.to_csv(buf)
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(config, header, rows, args.out)
     else:
-        rows = [
-            {"n": n, "EZ": ez, "scaled": sc}
-            for n, (ez, sc) in enumerate(zip(table.values, table.scaled))
-        ]
-        _emit_json({"config": config, "moments": rows}, args.out)
+        moments = [dict(zip(header, row)) for row in rows]
+        _emit_json({"config": config, "moments": moments}, args.out)
     return 0
 
 
@@ -174,17 +172,17 @@ def _cmd_simulate(args) -> int:
         if args.format == "csv":
             raise RgwError("the spine engine emits an estimate; use --format json")
         est = sim.simulate_spine(params, args.n, config, initial=initial)
-        _emit_json({"config": cfg, "estimate": est.to_dict(seed=args.seed)}, args.out)
-        return 0
-    result = sim.simulate_rgw(params, args.n, config, initial=initial)
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(_csv_header(cfg))
-        result.to_csv(buf)
-        _emit(buf.getvalue(), args.out)
     else:
+        result = sim.simulate_rgw(params, args.n, config, initial=initial)
+        if args.format == "csv":
+            # NaN marks the generations after a replica hit the cap: a suffix
+            rows = ((r, g, v) for r, zr in enumerate(result.z.tolist())
+                    for g, v in enumerate(zr) if v == v)
+            _emit_csv(cfg, ("replica", "generation", "Z"), rows, args.out)
+            return 0
         est = result.estimate(args.n)
-        _emit_json({"config": cfg, "estimate": est.to_dict(seed=args.seed)}, args.out)
+    estimate = {**dataclasses.asdict(est), "seed": args.seed}
+    _emit_json({"config": cfg, "estimate": estimate}, args.out)
     return 0
 
 
@@ -201,15 +199,15 @@ def _cmd_yule(args) -> int:
     if args.c is not None:
         cfg.update(c=args.c, ell=args.ell)
         est = sim.estimate_yule_functional(params, args.ell, args.c, args.t, config)
-        _emit_json({"config": cfg, "estimate": est.to_dict(seed=args.seed)}, args.out)
+        estimate = {**dataclasses.asdict(est), "seed": args.seed}
+        _emit_json({"config": cfg, "estimate": estimate}, args.out)
         return 0
     initial = _parse_initial(args.initial)
     res = sim.simulate_yule(params, args.t, config, initial=initial)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(_csv_header(cfg))
-        res.to_csv(buf)
-        _emit(buf.getvalue(), args.out)
+        header = ("replica", *(f"Y_{j}" for j in res.support))
+        rows = ((r, *row) for r, row in enumerate(res.counts.tolist()))
+        _emit_csv(cfg, header, rows, args.out)
         return 0
     totals = res.totals
     freq = np.bincount(totals)
@@ -231,16 +229,11 @@ def _cmd_yule(args) -> int:
 
 
 def _cmd_ode_check(args) -> int:
+    if args.weights and args.c is not None:
+        raise RgwError("--weights and --c exclude each other")
     params = _resolve_params(args)
     if args.weights:
-        mapping = {}
-        for item in args.weights.split(","):
-            try:
-                k, v = item.split(":")
-                mapping[int(k)] = float(v)
-            except ValueError:
-                raise RgwError(f'--weights expects "j:a,...", got {item!r}') from None
-        a = analytic.weights_from_map(params.law, mapping)
+        a = analytic.weights_from_map(params.law, parse_pairs(args.weights))
     elif args.c is not None:
         a = analytic.constant_weights(params.law, args.c)
     else:
@@ -255,10 +248,9 @@ def _cmd_ode_check(args) -> int:
     ts = np.linspace(0.0, t_hi, 33)
     sol = ode.integrate_M(params, a, float(ts[-1]), rel_tol=args.rel_tol, t_eval=ts)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(_csv_header(cfg))
-        sol.to_csv(buf)
-        _emit(buf.getvalue(), args.out)
+        header = ("t", *(f"M_{j}" for j in sol.support))
+        rows = ((t, *row) for t, row in zip(sol.grid.tolist(), sol.values.tolist()))
+        _emit_csv(cfg, header, rows, args.out)
         return 0
     s_hi = 0.72 / float(np.max(np.abs(sol.values)))
     residual = ode.pde_residual_G(params, a, np.linspace(0.0, t_hi, 21),
@@ -269,7 +261,7 @@ def _cmd_ode_check(args) -> int:
     payload = {
         "config": cfg,
         "ode": {
-            "explosion_time": rho if math.isfinite(rho) else "inf",
+            "explosion_time": rho,
             "criticality": ctx.criticality,
             "sup_rel_err_vs_closed_form": ode.closed_form_error(sol, ctx),
             "pde_residual_21x21": residual,

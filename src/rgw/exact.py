@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SeriesDiverges, StateExplosion, ZeroPopulationMean
-from .model import ModelParams
+from .model import ModelParams, check_initial
 
 _STATE_CAP = 10**7
 _URN_N_CAP = 60
@@ -28,30 +28,16 @@ _SERIES_TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MomentTable:
-    """E[Z(n)] for n = 0..N, stored in scaled form E[Z(n)] * scale^-n.
-
-    initial is "law" (first generation drawn from the law) or a fixed
-    first-generation size ell.
-    """
+    """E[Z(n)] for n = 0..N, stored in scaled form E[Z(n)] * scale^-n."""
 
     scaled: np.ndarray
     scale: float
-    initial: str | int
 
     @property
     def values(self) -> np.ndarray:
         """Unscaled E[Z(n)]; may overflow to inf for extreme (law, n)."""
         n = np.arange(len(self.scaled), dtype=float)
         return self.scaled * self.scale**n
-
-    def __len__(self) -> int:
-        return len(self.scaled)
-
-    def to_csv(self, fh) -> None:
-        fh.write("n,EZ,scaled\n")
-        values = self.values
-        for n, (ez, sc) in enumerate(zip(values, self.scaled)):
-            fh.write(f"{n},{ez:.12g},{sc:.12g}\n")
 
 
 def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale") -> float:
@@ -77,6 +63,7 @@ def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     law, q = params.law, params.q
+    initial = check_initial(law, initial)
     pos = law.positive_support
     s = len(pos)
     n_states = math.comb(n_max + s - 1, s - 1)
@@ -91,13 +78,9 @@ def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
         for i, j in enumerate(pos):
             unit = tuple(1 if k == i else 0 for k in range(s))
             states[unit] = law.mass(j) * j / scale
-    else:
-        ell = int(initial)
-        if ell not in law.masses:
-            raise DomainError(f"{ell} is not a support point")
-        if ell > 0:
-            unit = tuple(1 if pos[k] == ell else 0 for k in range(s))
-            states[unit] = ell / scale
+    elif initial > 0:
+        unit = tuple(1 if pos[k] == initial else 0 for k in range(s))
+        states[unit] = initial / scale
     scaled[1] = math.fsum(states.values())
 
     probs = [law.mass(j) for j in pos]
@@ -115,7 +98,7 @@ def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
                     new[st2] = inc
         states = new
         scaled[n + 1] = math.fsum(states.values())
-    return MomentTable(scaled, scale, initial)
+    return MomentTable(scaled, scale)
 
 
 def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> MomentTable:
@@ -160,7 +143,7 @@ def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> Momen
         scaled[n + 1] = math.fsum(
             p * math.prod(mom[sz] for sz in part) for part, p in sorted(dist.items())
         )
-    return MomentTable(scaled, scale, "law")
+    return MomentTable(scaled, scale)
 
 
 def effective_reproduction(table: MomentTable) -> np.ndarray:

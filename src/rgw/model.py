@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -80,29 +81,47 @@ def new_law(masses: Mapping[int, float]) -> ReproductionLaw:
     return ReproductionLaw(MappingProxyType(normalized), max(normalized))
 
 
-def parse_law(text: str) -> ReproductionLaw:
-    """Parse the inline format "k:p,k:p,...". Raises ParseError on bad input."""
-    masses: dict[int, float] = {}
+def parse_pairs(text: str) -> dict[int, float]:
+    """Parse "k:v,k:v,..." into {k: v}.  Raises ParseError on a malformed or
+    duplicate item, a count above MAX_COUNT, or no items."""
+    pairs: dict[int, float] = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         parts = item.split(":")
         if len(parts) != 2:
-            raise ParseError(f"expected 'count:prob', got {item!r}")
+            raise ParseError(f"expected 'count:value', got {item!r}")
         try:
             k = int(parts[0])
-            p = float(parts[1])
+            v = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"cannot parse {item!r}: {exc}") from None
         if k > MAX_COUNT:
             raise ParseError(f"offspring count {k} exceeds cap {MAX_COUNT}")
-        if k in masses:
+        if k in pairs:
             raise ParseError(f"duplicate count {k}")
-        masses[k] = p
-    if not masses:
+        pairs[k] = v
+    if not pairs:
         raise ParseError(f"no entries in {text!r}")
-    return new_law(masses)
+    return pairs
+
+
+def parse_law(text: str) -> ReproductionLaw:
+    """Parse the inline format "k:p,k:p,...". Raises ParseError on bad input."""
+    return new_law(parse_pairs(text))
+
+
+def check_initial(law: ReproductionLaw, initial) -> str | int:
+    """The first generation of a run: "law" (drawn from the law) or a
+    support point given as an integer, which is returned as an int.  Raises
+    DomainError for anything else, a bool or a float included."""
+    if isinstance(initial, str) and initial == "law":
+        return initial
+    if (isinstance(initial, numbers.Integral) and not isinstance(initial, bool)
+            and int(initial) in law.masses):
+        return int(initial)
+    raise DomainError(f'initial must be "law" or a support point, got {initial!r}')
 
 
 def mean(law: ReproductionLaw) -> float:

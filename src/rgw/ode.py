@@ -43,12 +43,6 @@ class OdeSolution:
     def column(self, j: int) -> np.ndarray:
         return self.values[:, self.support.index(j)]
 
-    def to_csv(self, fh) -> None:
-        fh.write("t," + ",".join(f"M_{j}" for j in self.support) + "\n")
-        for k in range(len(self.grid)):
-            row = ",".join(f"{v:.12g}" for v in self.values[k])
-            fh.write(f"{self.grid[k]:.12g},{row}\n")
-
 
 def _step_counts(sol) -> tuple[int, int]:
     """Accepted and rejected DOP853 steps of a solve_ivp run with an event.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PopulationCapExceeded
-from .model import ModelParams
+from .model import ModelParams, check_initial
 from .rng import derive_keys, uniforms
 
 _SALT_SPINE = 0x53
@@ -50,17 +50,6 @@ class Estimate:
     std_error: float
     replicas_used: int
     capped_fraction: float
-
-    def to_dict(self, seed: int | None = None) -> dict:
-        out = {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "replicas_used": self.replicas_used,
-            "capped_fraction": self.capped_fraction,
-        }
-        if seed is not None:
-            out["seed"] = seed
-        return out
 
 
 def _estimate_from_samples(samples: np.ndarray, capped: np.ndarray | None = None) -> Estimate:
@@ -141,10 +130,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
     s = len(pos)
     zero = int(support[0] == 0)  # support index of pos[j] is j + zero
     value = support.astype(float)
-    if initial != "law":
-        ell = int(initial)
-        if ell not in law.masses:
-            raise DomainError(f"{ell} is not a support point")
+    initial = check_initial(law, initial)
 
     samples = np.empty(config.replicas)
     for lo in range(0, config.replicas, _SPINE_BATCH):
@@ -154,7 +140,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
         if initial == "law":
             idx = _law_index(cum, uniforms(keys, 0))
         else:
-            idx = np.full(hi - lo, np.searchsorted(support, ell))
+            idx = np.full(hi - lo, np.searchsorted(support, initial))
         prod = value[idx]
         # cols[j]: how many values drawn so far are among pos[0..j], j < s-1
         cols = np.zeros((s - 1, hi - lo))
@@ -197,20 +183,10 @@ class PopulationResult:
 
     z: np.ndarray        # (replicas, n+1) float
     capped: np.ndarray   # (replicas,) bool
-    seed: int
 
     def estimate(self, gen: int | None = None) -> Estimate:
         gen = self.z.shape[1] - 1 if gen is None else gen
         return _estimate_from_samples(self.z[:, gen], self.capped)
-
-    def to_csv(self, fh) -> None:
-        fh.write("replica,generation,Z\n")
-        for r in range(self.z.shape[0]):
-            for g in range(self.z.shape[1]):
-                v = self.z[r, g]
-                if math.isnan(v):
-                    break
-                fh.write(f"{r},{g},{v:.12g}\n")
 
 
 def _population_batch(params, n, config, initial, lo, hi, support, cum):
@@ -244,7 +220,7 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum):
         elif initial == "law":
             idx = _law_index(cum, u)
         else:
-            idx = np.full(rows, np.searchsorted(support, int(initial)))
+            idx = np.full(rows, np.searchsorted(support, initial))
         cnt = support[idx]
         with np.errstate(over="ignore"):
             base += counts_per_rep.astype(np.uint64)
@@ -277,9 +253,7 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    law = params.law
-    if initial != "law" and int(initial) not in law.masses:
-        raise DomainError(f"{initial} is not a support point")
+    initial = check_initial(params.law, initial)
     support, cum, _ = _law_tables(params)
 
     from .analytic import malthusian_rate
@@ -297,7 +271,7 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
         z[lo:hi], capped[lo:hi] = _population_batch(
             params, n, config, initial, lo, hi, support, cum
         )
-    return PopulationResult(z=z, capped=capped, seed=config.seed)
+    return PopulationResult(z=z, capped=capped)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +286,10 @@ class YuleResult:
     counts: np.ndarray   # (replicas, |support|) int64
     support: tuple[int, ...]
     capped: np.ndarray
-    seed: int
 
     @property
     def totals(self) -> np.ndarray:
         return self.counts.sum(axis=1)
-
-    def to_csv(self, fh) -> None:
-        fh.write("replica," + ",".join(f"Y_{j}" for j in self.support) + "\n")
-        for r in range(self.counts.shape[0]):
-            fh.write(f"{r}," + ",".join(str(v) for v in self.counts[r]) + "\n")
 
 
 def simulate_yule(params: ModelParams, t: float, config: SimConfig,
@@ -351,8 +319,7 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     law, q = params.law, params.q
     support = law.support
-    if initial != "law" and int(initial) not in law.masses:
-        raise DomainError(f"{initial} is not a support point")
+    initial = check_initial(law, initial)
     s = len(support)
     cum = np.cumsum([law.mass(j) for j in support])
     cum[-1] = 1.0
@@ -369,7 +336,7 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
         counts[np.arange(n), law_index(uniforms(keys, 0))] = 1
         off = 1
     else:
-        counts[:, support.index(int(initial))] = 1
+        counts[:, support.index(initial)] = 1
         off = 0
     live = np.arange(n)
     now = np.zeros(n)
@@ -395,7 +362,7 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
         if k >= config.population_cap:
             capped[live] = True
             break
-    return YuleResult(counts=counts, support=support, capped=capped, seed=config.seed)
+    return YuleResult(counts=counts, support=support, capped=capped)
 
 
 def estimate_yule_functional(params: ModelParams, ell: int, c: float, t: float,

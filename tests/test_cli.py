@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import warnings
 
 import pytest
@@ -179,6 +180,8 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--format", "csv"],
     ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "1", "--c", "0.3", "--ell", "1",
      "--format", "csv"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,1:2,2:1"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,2:1", "--c", "2"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
@@ -251,3 +254,73 @@ def test_out_file(tmp_path):
                          "--out", str(path)])
     assert code == 0 and out == ""
     assert abs(json.loads(path.read_text())["rate"]["m"] - 1.5) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# output tables
+# ---------------------------------------------------------------------------
+
+def test_moment_table_csv(mixed_params):
+    code, out = run_cli(["moments", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "3",
+                         "--format", "csv"])
+    assert code == 0
+    lines = [line for line in out.strip().splitlines() if not line.startswith("#")]
+    assert lines[0] == "n,EZ,scaled"
+    assert len(lines) == 5
+    n, ez, sc = lines[2].split(",")
+    scale = analytic.malthusian_rate(mixed_params).m
+    assert n == "1" and float(ez) == pytest.approx(1.5, rel=1e-10)
+    assert float(sc) == pytest.approx(1.5 / scale, rel=1e-10)
+
+
+def test_solution_csv():
+    code, out = run_cli(["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5",
+                         "--weights", "1:1,2:2", "--t", "0.2", "--format", "csv"])
+    assert code == 0
+    lines = [line for line in out.strip().splitlines() if not line.startswith("#")]
+    assert lines[0] == "t,M_1,M_2"
+    assert lines[1] == "0,1,2"
+    assert len(lines) == 1 + 33
+
+
+def test_rgw_csv():
+    code, out = run_cli(["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "3",
+                         "--replicas", "4", "--seed", "1", "--format", "csv"])
+    assert code == 0
+    lines = [line for line in out.strip().splitlines() if not line.startswith("#")]
+    assert lines[0] == "replica,generation,Z"
+    assert lines[1] == "0,0,1"
+    assert len(lines) == 1 + 4 * 4
+
+
+def test_estimate_json_shape():
+    code, out = run_cli(["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "3",
+                         "--engine", "spine", "--replicas", "100", "--seed", "1"])
+    assert code == 0
+    d = json.loads(out)["estimate"]
+    assert set(d) == {"mean", "std_error", "replicas_used", "capped_fraction", "seed"}
+    assert d["seed"] == 1
+
+
+# Exact stdout of small runs, recorded before the tables moved into cli: the
+# config lines, 12-digit cells, "inf" for a non-explosive rate and a capped
+# replica whose rows stop at its cap generation (replicas 1 and 5 of the
+# capped simulate run).
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+GOLDEN_IDS = [f"{i}-{case['argv'][0]}" for i, case in enumerate(GOLDEN)]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
+def test_output_matches_golden(case):
+    code, out, err = run_cli_err(case["argv"])
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in GOLDEN], ids=GOLDEN_IDS)
+def test_out_file_matches_stdout(argv, tmp_path):
+    _, expected = run_cli(argv)
+    path = tmp_path / "out"
+    code, out = run_cli([*argv, "--out", str(path)])
+    assert code == 0 and out == ""
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -147,11 +146,17 @@ def test_spine_dp_zero_initial():
     assert np.all(table.values[1:] == 0.0)
 
 
+def test_spine_dp_numpy_integer_initial(mixed_params):
+    got = exact.spine_dp(mixed_params, 4, initial=np.int64(2)).scaled
+    assert np.array_equal(got, exact.spine_dp(mixed_params, 4, initial=2).scaled)
+
+
 def test_spine_dp_errors(mixed_params):
     with pytest.raises(DomainError):
         exact.spine_dp(mixed_params, 0)
-    with pytest.raises(DomainError):
-        exact.spine_dp(mixed_params, 3, initial=5)
+    for initial in (5, "foo", 2.7, True):
+        with pytest.raises(DomainError):
+            exact.spine_dp(mixed_params, 3, initial=initial)
     wide = ModelParams(new_law({k: 1 / 8 for k in range(1, 9)}), 0.5)
     with pytest.raises(StateExplosion):
         exact.spine_dp(wide, 120)
@@ -221,18 +226,6 @@ def test_effective_reproduction_zero_mean():
     table = exact.spine_dp(params, 4, initial=0)
     with pytest.raises(ZeroPopulationMean):
         exact.effective_reproduction(table)
-
-
-def test_moment_table_csv(mixed_params):
-    table = exact.spine_dp(mixed_params, 3)
-    buf = io.StringIO()
-    table.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,EZ,scaled"
-    assert len(lines) == 5
-    n, ez, sc = lines[2].split(",")
-    assert n == "1" and float(ez) == pytest.approx(1.5, rel=1e-10)
-    assert float(sc) == pytest.approx(1.5 / table.scale, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,3 @@ def test_bounded_case_lower_weight_vanishes(mixed_params):
     m1 = sol.column(1)
     assert m1[-1] < 0.05 * m1[0]
     assert ode.ratio_monotonicity_check(sol, 1, 2)
-
-
-def test_solution_csv(mixed_params):
-    a = analytic.linear_weights(mixed_params.law)
-    sol = ode.integrate_M(mixed_params, a, 0.2, rel_tol=1e-9, t_eval=[0.0, 0.1, 0.2])
-    import io
-
-    buf = io.StringIO()
-    sol.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,M_1,M_2"
-    assert len(lines) == 4

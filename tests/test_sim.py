@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -55,6 +54,17 @@ def test_sim_config_validation():
         sim.SimConfig(seed=1, replicas=0)
     with pytest.raises(DomainError):
         sim.SimConfig(seed=1, replicas=10, population_cap=0)
+
+
+@pytest.mark.parametrize("initial", [5, "foo", 2.7, True])
+def test_engines_reject_bad_initial(mixed_params, initial):
+    config = sim.SimConfig(seed=1, replicas=10)
+    with pytest.raises(DomainError):
+        sim.simulate_spine(mixed_params, 3, config, initial=initial)
+    with pytest.raises(DomainError):
+        sim.simulate_rgw(mixed_params, 3, config, initial=initial)
+    with pytest.raises(DomainError):
+        sim.simulate_yule(mixed_params, 0.5, config, initial=initial)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +246,6 @@ def test_rgw_all_capped_raises():
                                                     population_cap=3))
     with pytest.raises(PopulationCapExceeded):
         res.estimate(8)
-
-
-def test_rgw_csv(mixed_params):
-    res = sim.simulate_rgw(mixed_params, 3, sim.SimConfig(seed=1, replicas=4))
-    buf = io.StringIO()
-    res.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "replica,generation,Z"
-    assert lines[1] == "0,0,1"
-    assert len(lines) == 1 + 4 * 4
 
 
 def _population_reference(params, n, config, initial):
@@ -502,9 +502,3 @@ def test_yule_functional_warns_for_large_weights(mixed_params):
     with pytest.warns(UserWarning):
         sim.estimate_yule_functional(mixed_params, 2, 0.8, 0.2,
                                      sim.SimConfig(seed=1, replicas=100))
-
-
-def test_estimate_json_shape(mixed_params):
-    est = sim.simulate_spine(mixed_params, 3, sim.SimConfig(seed=1, replicas=100))
-    d = est.to_dict(seed=1)
-    assert set(d) == {"mean", "std_error", "replicas_used", "capped_fraction", "seed"}
