@@ -17,6 +17,7 @@ from .analytic import (
     linear_weights,
     malthusian_rate,
     mgf_closed,
+    mgf_vector,
     phi,
     phi_limit,
     pi_integral,

@@ -188,9 +188,7 @@ class AnalyticContext:
     # -- primitives ---------------------------------------------------------
 
     def _smooth(self, y):
-        """Product of the non-maximal factors; analytic on [0, x*]."""
-        if self._rest_w.size == 0:
-            return np.ones_like(np.asarray(y, dtype=float))
+        """Product of the non-maximal factors (1 if none); analytic on [0, x*]."""
         y = np.asarray(y, dtype=float)[..., None]
         return np.prod((1.0 - y * self._rest_w) ** self._rest_e, axis=-1)
 
@@ -382,14 +380,10 @@ def explosion_time(params: ModelParams, a: WeightVector) -> float:
 # the flow A, the growth correction phi, and closed-form mgfs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _FlowPoint:
-    x: float          # q A(t) = I_a^{-1}(q (1 - e^{-t}))
-    sigma: float      # x* - x, kept separately for cancellation-free factors
-    deriv: float      # A'(t) = e^{-t} / Pi_a(q A(t))
-
-
-def _flow_point(ctx: AnalyticContext, t: float) -> _FlowPoint:
+def _flow_point(ctx: AnalyticContext, t: float) -> tuple[float, float, float]:
+    """(x, sigma, deriv) at time t: x = q A(t) = I_a^{-1}(q (1 - e^{-t})),
+    sigma = x* - x, kept for cancellation-free factors, and
+    deriv = A'(t) = e^{-t} / Pi_a(q A(t))."""
     q = ctx.params.q
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
@@ -400,13 +394,9 @@ def _flow_point(ctx: AnalyticContext, t: float) -> _FlowPoint:
     delta = 0.0 if ctx.criticality == CRITICAL else ctx.i_total - q
     eps = delta + q * math.exp(-t)
     sigma = ctx._inverse_tail(eps)
-    x = ctx.x_star - sigma
-    if sigma > 0:
-        pi_x = ctx._pi_from_sigma(sigma)
-    else:
-        pi_x = 0.0
+    pi_x = ctx._pi_from_sigma(sigma) if sigma > 0 else 0.0
     deriv = math.exp(-t) / pi_x if pi_x > 0 else math.inf
-    return _FlowPoint(x=x, sigma=sigma, deriv=deriv)
+    return ctx.x_star - sigma, sigma, deriv
 
 
 def flow(ctx: AnalyticContext, t: float) -> tuple[float, float]:
@@ -416,27 +406,36 @@ def flow(ctx: AnalyticContext, t: float) -> tuple[float, float]:
     Newton steps (the derivative Pi_a is available in closed form), to
     absolute tolerance well below 1e-13 in the argument.
     """
-    fp = _flow_point(ctx, t)
-    return fp.x / ctx.params.q, fp.deriv
+    x, _, deriv = _flow_point(ctx, t)
+    return x / ctx.params.q, deriv
+
+
+def mgf_vector(ctx: AnalyticContext, t: float) -> list[float]:
+    """Closed-form M_j(a,t) = a_j A'(t) / (1 - q a_j A(t)) for every j of
+    ctx.a.support, from one flow point.
+
+    At the maximal weight the denominator is a_max sigma, free of the
+    cancellation in 1 - x a_max; an entry with a_j = 0 is 0.
+    """
+    x, sigma, deriv = _flow_point(ctx, t)
+    a = ctx.a
+    return [a[j] * deriv / (a.amax * sigma if a[j] == a.amax else 1.0 - x * a[j])
+            if a[j] else 0.0 for j in a.support]
+
+
+def mgf_closed(ctx: AnalyticContext, ell: int, t: float) -> float:
+    """Closed-form M_ell(a,t), the ell entry of mgf_vector."""
+    if ell not in ctx.a.weights:
+        raise DomainError(f"{ell} is not a support point")
+    return mgf_vector(ctx, t)[ctx.a.support.index(ell)]
 
 
 def phi(ctx: AnalyticContext, t: float) -> float:
-    """Growth correction phi(t) = (1-q) <nu; M(a,t)> - 1.
-
-    Evaluated through the flow identity phi = (1-q) A'(t) S(q A(t)) - 1
-    where S(s) = sum_j nu(j) a_j / (1 - s a_j).
-    """
-    fp = _flow_point(ctx, t)
+    """Growth correction phi(t) = (1-q) <nu; M(a,t)> - 1, on the closed-form
+    moment vector (the identity the moment ODE uses)."""
     law = ctx.params.law
-    amax = ctx.a.amax
-    terms = []
-    for j in law.support:
-        aj = ctx.a[j]
-        if aj == 0.0:
-            continue
-        denom = amax * fp.sigma if aj == amax else 1.0 - fp.x * aj
-        terms.append(law.mass(j) * aj / denom)
-    return (1.0 - ctx.params.q) * fp.deriv * math.fsum(terms) - 1.0
+    terms = [law.mass(j) * m for j, m in zip(ctx.a.support, mgf_vector(ctx, t))]
+    return (1.0 - ctx.params.q) * math.fsum(terms) - 1.0
 
 
 def phi_limit(ctx: AnalyticContext) -> float:
@@ -449,21 +448,6 @@ def phi_limit(ctx: AnalyticContext) -> float:
     if not ctx.a.argmax_unique:
         raise UnsupportedTie("maximal weight attained at several support points")
     return -1.0 / (1.0 + ctx._E)
-
-
-def mgf_closed(ctx: AnalyticContext, ell: int, t: float) -> float:
-    """Closed-form M_ell(a,t) = a_ell A'(t) / (1 - q a_ell A(t))."""
-    if ell not in ctx.a.weights:
-        raise DomainError(f"{ell} is not a support point")
-    a_ell = ctx.a[ell]
-    if a_ell == 0.0:
-        return 0.0
-    fp = _flow_point(ctx, t)
-    if a_ell == ctx.a.amax:
-        denom = ctx.a.amax * fp.sigma
-    else:
-        denom = 1.0 - fp.x * a_ell
-    return a_ell * fp.deriv / denom
 
 
 # ---------------------------------------------------------------------------

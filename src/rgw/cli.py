@@ -294,7 +294,7 @@ def _cmd_asymptotics(args) -> int:
             "conditional_limits": limits,
         },
     }
-    if args.n:
+    if args.n is not None:
         trend = {}
         for ell in ells:
             if ell == 0:

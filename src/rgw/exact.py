@@ -37,7 +37,8 @@ class MomentTable:
     def values(self) -> np.ndarray:
         """Unscaled E[Z(n)]; may overflow to inf for extreme (law, n)."""
         n = np.arange(len(self.scaled), dtype=float)
-        return self.scaled * self.scale**n
+        with np.errstate(over="ignore"):
+            return self.scaled * self.scale**n
 
 
 def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale") -> float:

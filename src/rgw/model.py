@@ -157,6 +157,8 @@ def params_from_dict(obj: Mapping) -> ModelParams:
         q = float(obj["q"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"law file needs 'law' map and 'q': {exc}") from None
+    if not isinstance(raw, Mapping):
+        raise ParseError(f"law file 'law' must be a map of counts to masses, got {raw!r}")
     masses = {}
     for k, p in raw.items():
         try:

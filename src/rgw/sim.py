@@ -4,10 +4,10 @@ and the typed pure-birth (Yule) process.
 Replica r draws every variate from a counter-based stream keyed by
 (seed, r), so estimates are reproducible bit-for-bit independent of batch
 sizes.  Reductions run in replica order.  Every engine is vectorised
-across replicas.  Lineage and population share one step rule (`_step`,
-`_absorb`) over forebear count vectors, one uniform per child; the Yule
-engine advances all live replicas by one birth per round (counter layout
-in `simulate_yule`).
+across replicas.  All three engines share one step rule (`_step`) over
+cumulative forebear counts, one uniform per child, and one law sampler
+(`_law_index`); the Yule engine advances all live replicas by one birth
+per round (counter layout in `simulate_yule`).
 """
 from __future__ import annotations
 
@@ -75,8 +75,12 @@ def _law_tables(params: ModelParams):
 
 
 def _law_index(cum, u):
-    """Support index that u in [0, 1) draws."""
-    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    """Support index that u in [0, 1) draws: how many of cum[:-1] are <= u,
+    as searchsorted(cum, u, side="right"), by a scan (steps are O(s) anyway)."""
+    idx = np.zeros(np.shape(u), dtype=np.int64)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
 
 
 def _step(cols, i, u, q, zero, cum):
@@ -90,11 +94,7 @@ def _step(cols, i, u, q, zero, cum):
     rep = np.full(u.size, zero)
     for c in cols:
         rep += uq >= c / i
-    u_fresh = np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
-    # _law_index as a scan: the step is O(s) per line already
-    fresh = np.zeros(u.size, dtype=np.int64)
-    for c in cum[:-1]:
-        fresh += u_fresh >= c
+    fresh = _law_index(cum, np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0)))
     return np.where(u < q, rep, fresh)
 
 
@@ -297,15 +297,16 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
     """Event-driven unit-rate pure-birth process with type inheritance.
 
     With k individuals alive the next birth arrives after Exponential(k);
-    the parent is uniform and the child copies its type with probability q,
+    the child steps by the lineage rule (`_step`) with the k individuals as
+    its forebears: it copies a uniform one's type with probability q, and
     otherwise draws a fresh type from the law.  Exponential jumps keep the
     marginal law of the population size exactly geometric.
 
     Replicas run in parallel rounds: round e (from 0) gives every replica
     still below the horizon its e-th event, so all of them hold k = e + 1
     individuals.  Replica r reads its stream at counter 0 for a law-drawn
-    root type (off = 1, else off = 0) and then, for event e, at off + 3e
-    (holding time), off + 3e + 1 (parent) and off + 3e + 2 (copy or fresh
+    root type (off = 1, else off = 0) and then, for event e, at off + 2e
+    (holding time) and off + 2e + 1 (the step uniform of the child's
     type).  A replica's counts are thus a pure function of (seed, r) and
     do not depend on how many replicas run beside it.  Memory is the
     (replicas x |support|) count table plus temporaries the size of the
@@ -318,31 +319,23 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
         # a NaN horizon would stop every replica at once, an infinite one never
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     law, q = params.law, params.q
-    support = law.support
     initial = check_initial(law, initial)
-    s = len(support)
-    cum = np.cumsum([law.mass(j) for j in support])
-    cum[-1] = 1.0
-
-    def law_index(u):
-        # first support index whose cumulative mass reaches u
-        return np.minimum(np.searchsorted(cum, u, side="left"), s - 1)
-
+    support, cum, _ = _law_tables(params)
     n = config.replicas
     keys = derive_keys(config.seed, _SALT_YULE, np.arange(n, dtype=np.uint64))
-    counts = np.zeros((n, s), dtype=np.int64)
+    counts = np.zeros((n, len(support)), dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
     if initial == "law":
-        counts[np.arange(n), law_index(uniforms(keys, 0))] = 1
+        counts[np.arange(n), _law_index(cum, uniforms(keys, 0))] = 1
         off = 1
     else:
-        counts[:, support.index(initial)] = 1
+        counts[:, law.support.index(initial)] = 1
         off = 0
     live = np.arange(n)
     now = np.zeros(n)
     k = 1
     while True:
-        ctr = off + 3 * (k - 1)
+        ctr = off + 2 * (k - 1)
         lkeys = keys[live]
         step = now[live] + -np.log1p(-uniforms(lkeys, ctr)) / k
         going = step <= t
@@ -350,19 +343,15 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
         if live.size == 0:
             break
         now[live] = step[going]
-        u = uniforms(lkeys, ctr + 1) * k
-        below = counts[live].cumsum(axis=1) < u[:, None]
-        # the child takes its parent's type unless it draws a fresh one
-        child = np.minimum(below.sum(axis=1), s - 1)
-        u2 = uniforms(lkeys, ctr + 2)
-        fresh = u2 >= q
-        child[fresh] = law_index((u2[fresh] - q) / (1.0 - q))
+        # the k living individuals are the child's forebears
+        cols = counts[live, :-1].cumsum(axis=1).T
+        child = _step(cols, k, uniforms(lkeys, ctr + 1), q, 0, cum)
         counts[live, child] += 1
         k += 1
         if k >= config.population_cap:
             capped[live] = True
             break
-    return YuleResult(counts=counts, support=support, capped=capped)
+    return YuleResult(counts=counts, support=law.support, capped=capped)
 
 
 def estimate_yule_functional(params: ModelParams, ell: int, c: float, t: float,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special as _scipy_special
 
 from . import analytic, exact, ode, sim
-from .errors import BlowUpDetected
+from .errors import BlowUpDetected, DomainError
 from .model import ModelParams, mean, new_law
 
 DEFAULT_SEED = 42
@@ -440,13 +440,16 @@ SUITE_ORDER = ("rates", "oracles", "asymptotics", "ode", "montecarlo")
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED):
-    """Run one suite (or "all"); returns (results, timings by check id)."""
+    """Run one suite (or "all"); returns (results, timings by check id).
+    An unknown suite or a negative seed is a DomainError before any check runs."""
     if suite == "all":
         names = SUITE_ORDER
     elif suite in SUITES:
         names = (suite,)
     else:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_ORDER + ('all',)}")
+        raise DomainError(f"unknown suite {suite!r}; choose from {SUITE_ORDER + ('all',)}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     results: list[CheckResult] = []
     timings: dict[str, float] = {}
     for name in names:

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rgw import analytic
@@ -387,6 +387,37 @@ def test_mgf_closed_basics(mixed_params, binary_params):
     assert analytic.mgf_closed(bctx, 0, 5.0) == 0.0
     with pytest.raises(DomainError):
         analytic.mgf_closed(ctx, 3, 0.0)
+
+
+def test_mgf_closed_checks_time_at_zero_weight(binary_params):
+    # a_0 = 0 under linear weights: M_0 is 0, but only at admissible times
+    ctx = analytic.AnalyticContext(binary_params, analytic.linear_weights(binary_params.law))
+    rho = ctx.explosion_time
+    assert math.isfinite(rho)
+    for t in (math.nan, -1.0, rho, 2.0 * rho):
+        for ell in (0, 2):
+            with pytest.raises(DomainError):
+                analytic.mgf_closed(ctx, ell, t)
+    assert analytic.mgf_closed(ctx, 0, 0.5 * rho) == 0.0
+
+
+_weight_values = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.1, 3.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=_laws, q=st.floats(0.1, 0.9), weights=st.lists(_weight_values, min_size=4,
+       max_size=4), frac=st.floats(0.0, 0.95))
+def test_mgf_vector_is_mgf_closed_and_gives_phi(law, q, weights, frac):
+    assume(max(weights[:len(law.support)]) > 0)
+    a = analytic.weights_from_map(law, dict(zip(law.support, weights)))
+    ctx = analytic.AnalyticContext(ModelParams(law, q), a)
+    rho = ctx.explosion_time
+    t = frac * (rho if math.isfinite(rho) else 10.0)
+    vec = analytic.mgf_vector(ctx, t)
+    closed = [analytic.mgf_closed(ctx, j, t) for j in law.support]
+    assert vec == closed
+    want = (1.0 - q) * sum(law.mass(j) * m for j, m in zip(law.support, closed)) - 1.0
+    assert abs(analytic.phi(ctx, t) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_mgf_closed_constant_weights_monotype(mixed_params):

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from rgw import analytic, cli, verify
+from rgw.errors import DomainError
 
 
 def run_cli(argv):
@@ -182,6 +183,8 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
      "--format", "csv"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,1:2,2:1"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,2:1", "--c", "2"],
+    ["verify", "--suite", "rates", "--seed", "-1"],
+    ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "0"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
@@ -248,6 +251,31 @@ def test_law_file_not_utf8_exits_one(tmp_path):
     assert err.startswith("rgw: error: invalid JSON")
 
 
+@pytest.mark.parametrize("law", [[0.5, 0.5], "0:0.5,2:0.5"])
+def test_law_file_law_not_a_map_exits_one(law, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"law": law, "q": 0.5}))
+    code, out, err = run_cli_err(["rate", "--law-file", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error:")
+
+
+def test_unknown_verify_suite_is_a_domain_error():
+    with pytest.raises(DomainError):
+        verify.run_suite("nonsense")
+
+
+def test_moments_past_float_range_are_inf_without_warnings():
+    # m is about 300, so E[Z(150)] lies past the float range while the scaled column does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli_err(["moments", "--law", "1:0.5,400:0.5", "--q", "0.5",
+                                      "--n", "150"])
+    assert (code, err) == (0, "")
+    last = json.loads(out)["moments"][-1]
+    assert last["EZ"] == "inf" and math.isfinite(last["scaled"])
+
+
 def test_out_file(tmp_path):
     path = tmp_path / "report.json"
     code, out = run_cli(["rate", "--law", "0:0.5,2:0.5", "--q", "0.5",
@@ -305,7 +333,8 @@ def test_estimate_json_shape():
 # Exact stdout of small runs, recorded before the tables moved into cli: the
 # config lines, 12-digit cells, "inf" for a non-explosive rate and a capped
 # replica whose rows stop at its cap generation (replicas 1 and 5 of the
-# capped simulate run).
+# capped simulate run).  The yule entries were recorded again when Yule
+# births moved to the shared step rule, which draws other variates.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
 GOLDEN_IDS = [f"{i}-{case['argv'][0]}" for i, case in enumerate(GOLDEN)]
 

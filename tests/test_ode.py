@@ -132,6 +132,24 @@ def test_matches_closed_form_random_laws(law, q, weights):
         assert np.max(np.abs(sol.values[:, i] - closed) / closed) < 1e-6
 
 
+def test_closed_form_error_solves_one_flow_point_per_time(monkeypatch):
+    params = ModelParams(new_law({0: 0.2, 1: 0.3, 3: 0.5}), 0.35)
+    a = analytic.linear_weights(params.law)
+    ctx = analytic.AnalyticContext(params, a)
+    rho = ctx.explosion_time
+    ts = np.linspace(0.0, 0.9 * rho if math.isfinite(rho) else 4.0, 9)
+    sol = ode.integrate_M(params, a, float(ts[-1]), rel_tol=1e-9, t_eval=ts)
+    real, times = analytic._flow_point, []
+
+    def counted(c, t):
+        times.append(t)
+        return real(c, t)
+
+    monkeypatch.setattr(analytic, "_flow_point", counted)
+    assert ode.closed_form_error(sol, ctx) < 1e-6
+    assert times == ts.tolist()
+
+
 def test_critical_weights_no_blowup(mixed_params):
     a = analytic.critical_weights(mixed_params)
     sol = ode.integrate_M(mixed_params, a, 8.0, rel_tol=1e-9)

@@ -67,6 +67,17 @@ def test_engines_reject_bad_initial(mixed_params, initial):
         sim.simulate_yule(mixed_params, 0.5, config, initial=initial)
 
 
+@settings(max_examples=60, deadline=None)
+@given(masses=st.lists(st.integers(1, 9), min_size=2, max_size=8),
+       us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_law_index_is_searchsorted_right(masses, us):
+    law = new_law({k: m / sum(masses) for k, m in enumerate(masses)})
+    _, cum, _ = sim._law_tables(ModelParams(law, 0.5))
+    # the ends of [0, 1) and every inner cumulative mass, where a tie decides
+    u = np.array([0.0, np.nextafter(1.0, 0.0), *cum[:-1], *us])
+    assert np.array_equal(sim._law_index(cum, u), np.searchsorted(cum, u, side="right"))
+
+
 # ---------------------------------------------------------------------------
 # lineage-chain estimator
 # ---------------------------------------------------------------------------
@@ -361,10 +372,18 @@ def test_output_does_not_depend_on_batch_size(law, q, n, replicas, seed, spine_b
 def _yule_reference(params, t, config, initial):
     """One replica at a time, one counter at a time: the event loop that
     simulate_yule's rounds must reproduce draw for draw."""
+    q = params.q
     support = params.law.support
     s = len(support)
     cum = np.cumsum([params.law.mass(j) for j in support])
     cum[-1] = 1.0
+
+    def law_draw(u):
+        idx = 0
+        while idx < s - 1 and u >= cum[idx]:
+            idx += 1
+        return idx
+
     counts = np.zeros((config.replicas, s), dtype=np.int64)
     capped = np.zeros(config.replicas, dtype=bool)
     for r in range(config.replicas):
@@ -378,10 +397,7 @@ def _yule_reference(params, t, config, initial):
 
         row = [0] * s
         if initial == "law":
-            u, idx = u01(), 0
-            while u > cum[idx]:
-                idx += 1
-            row[idx] = 1
+            row[law_draw(u01())] = 1
         else:
             row[support.index(initial)] = 1
         k, now = 1, 0.0
@@ -389,15 +405,15 @@ def _yule_reference(params, t, config, initial):
             now += -math.log1p(-u01()) / k
             if now > t:
                 break
-            u, parent, acc = u01() * k, 0, row[0]
-            while u > acc and parent < s - 1:
-                parent += 1
-                acc += row[parent]
-            u2, child = u01(), parent
-            if u2 >= params.q:
-                u3, child = (u2 - params.q) / (1.0 - params.q), 0
-                while u3 > cum[child] and child < s - 1:
+            u = u01()
+            if u < q:
+                # copy a uniform individual: walk the cumulative counts
+                child, acc = 0, row[0]
+                while child < s - 1 and u / q >= acc / k:
                     child += 1
+                    acc += row[child]
+            else:
+                child = law_draw(min(max((u - q) / (1.0 - q), 0.0), np.nextafter(1.0, 0.0)))
             row[child] += 1
             k += 1
             if k >= config.population_cap:
