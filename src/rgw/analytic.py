@@ -16,12 +16,14 @@ panel is computed at Gauss orders 20 and 40 and halved until the two agree.
 The panel touching x* carries (1 - x a_max)^E in a Gauss-Jacobi weight
 (E <= 50), which restores spectral accuracy there; every other panel is
 Gauss-Legendre.  One bracketed Newton helper inverts I_a and its tail, and
-an iteration that does not settle raises NotConverged.
+an iteration that does not settle raises NotConverged.  gamma needs no
+second rule: A'' = phi A' gives it from one flow point per horizon.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -57,10 +59,10 @@ NON_EXPLOSIVE = "non-explosive"
 
 
 @functools.lru_cache(maxsize=64)
-def _gauss(alpha: float, orders: tuple[int, ...] = _ORDERS) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rules of the given orders on [-1, 1]
-    with weight (1 - u)^alpha, concatenated; alpha = 0 is Gauss-Legendre."""
-    rules = [_scipy_special.roots_jacobi(n, alpha, 0.0) for n in orders]
+def _gauss(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rules of the _ORDERS on [-1, 1] with
+    weight (1 - u)^alpha, concatenated; alpha = 0 is Gauss-Legendre."""
+    rules = [_scipy_special.roots_jacobi(n, alpha, 0.0) for n in _ORDERS]
     return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
 
 
@@ -142,10 +144,10 @@ def constant_weights(law: ReproductionLaw, c: float) -> WeightVector:
     return weights_from_map(law, {j: c for j in law.support})
 
 
-def critical_weights(params: ModelParams, rate: float | None = None) -> WeightVector:
-    """a_j = j / m, the scaling that puts the series singularity at radius 1."""
-    m = rate if rate is not None else malthusian_rate(params).m
-    return linear_weights(params.law, 1.0 / m)
+def critical_weights(params: ModelParams) -> WeightVector:
+    """a_j = j / m, the scaling that puts the series singularity at radius 1;
+    the maximal weight is attained only at k*."""
+    return linear_weights(params.law, 1.0 / malthusian_rate(params).m)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +385,8 @@ def explosion_time(params: ModelParams, a: WeightVector) -> float:
 def _flow_point(ctx: AnalyticContext, t: float) -> tuple[float, float, float]:
     """(x, sigma, deriv) at time t: x = q A(t) = I_a^{-1}(q (1 - e^{-t})),
     sigma = x* - x, kept for cancellation-free factors, and
-    deriv = A'(t) = e^{-t} / Pi_a(q A(t))."""
+    deriv = A'(t) = e^{-t} / Pi_a(q A(t)).  A time at which i_a - I_a(x) or
+    Pi_a(x) underflows the normal float range raises DomainError."""
     q = ctx.params.q
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
@@ -393,10 +396,13 @@ def _flow_point(ctx: AnalyticContext, t: float) -> tuple[float, float, float]:
     # large-t regime is free of cancellation between i_a and q
     delta = 0.0 if ctx.criticality == CRITICAL else ctx.i_total - q
     eps = delta + q * math.exp(-t)
+    if eps < sys.float_info.min:
+        raise DomainError(f"t={t!r} is too large: i_a - I_a(q A(t)) = {eps!r} underflows")
     sigma = ctx._inverse_tail(eps)
-    pi_x = ctx._pi_from_sigma(sigma) if sigma > 0 else 0.0
-    deriv = math.exp(-t) / pi_x if pi_x > 0 else math.inf
-    return ctx.x_star - sigma, sigma, deriv
+    pi_x = ctx._pi_from_sigma(sigma)
+    if pi_x == 0.0:
+        raise DomainError(f"t={t!r}: Pi_a at the flow point underflows to 0")
+    return ctx.x_star - sigma, sigma, math.exp(-t) / pi_x
 
 
 def flow(ctx: AnalyticContext, t: float) -> tuple[float, float]:
@@ -454,37 +460,21 @@ def phi_limit(ctx: AnalyticContext) -> float:
 # critical asymptotics: gamma and the conditional limit constants
 # ---------------------------------------------------------------------------
 
-def critical_context(params: ModelParams, rate: float | None = None) -> AnalyticContext:
-    return AnalyticContext(params, critical_weights(params, rate))
-
-
-def _integrate_phi_shift(ctx: AnalyticContext, beta: float, lo: float, hi: float) -> float:
-    """integral_lo^hi (phi(t) + 1/beta) dt by composite Gauss-Legendre."""
-    nodes, wts = _gauss(0.0, (24,))
-    n_panels = max(1, int(math.ceil((hi - lo) / 2.0)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    pieces = []
-    inv_beta = 1.0 / beta
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        vals = [phi(ctx, float(mid + half * u)) + inv_beta for u in nodes]
-        pieces.append(half * math.fsum(w * v for w, v in zip(wts, vals)))
-    return math.fsum(pieces)
+def critical_context(params: ModelParams) -> AnalyticContext:
+    return AnalyticContext(params, critical_weights(params))
 
 
 def _gamma_sequence(params: ModelParams) -> list[tuple[float, float]]:
     """(T, gamma_T) for T doubling until the exponentially small tail is
-    negligible; the last entry carries the analytic tail correction."""
+    negligible; the last entry carries the analytic tail correction.
+    phi = -d/dt log Pi_a(q A(t)) - 1 = A''/A' with A'(0) = 1, so gamma_T =
+    exp(integral_0^T (phi + 1/beta) dt) = A'(T) e^{T/beta}: one flow point."""
     ctx = critical_context(params)
     beta = 1.0 + ctx._E
     seq: list[tuple[float, float]] = []
-    total = 0.0
-    lo = 0.0
     T = 8.0
     while True:
-        total += _integrate_phi_shift(ctx, beta, lo, T)
-        seq.append((T, math.exp(total)))
+        seq.append((T, _flow_point(ctx, T)[2] * math.exp(T / beta)))
         done = len(seq) > 1 and abs(seq[-1][1] - seq[-2][1]) < 1e-9
         if done or T >= _GAMMA_HORIZON:
             # remaining mass: integrand ~ C e^{-t/beta}, tail ~ f(T)*beta; the
@@ -492,18 +482,19 @@ def _gamma_sequence(params: ModelParams) -> list[tuple[float, float]]:
             tail_est = (phi(ctx, T) + 1.0 / beta) * beta
             if not done and abs(tail_est) > _GAMMA_TAIL_MAX:
                 raise NotConverged(f"gamma unsettled at T={T:g}: tail correction {tail_est:.3g}")
-            seq.append((math.inf, math.exp(total + tail_est)))
+            seq.append((math.inf, seq[-1][1] * math.exp(tail_est)))
             return seq
-        lo, T = T, 2.0 * T
+        T = 2.0 * T
 
 
 def gamma_constant(params: ModelParams) -> float:
     """gamma = exp(integral_0^inf (phi(t) + 1/beta) dt) in the critical scaling.
 
-    The horizon doubles until successive values agree to 1e-9; the
-    exponentially small remainder beyond the final horizon is then added
-    from its leading-order estimate.  Raises NotConverged when the horizon
-    cap is reached unsettled with a correction above 1e-6.
+    The value at horizon T is A'(T) e^{T/beta}, read off one flow point
+    (A'' = phi A').  The horizon doubles until successive values agree to
+    1e-9; the exponentially small remainder beyond the final horizon is
+    then added from its leading-order estimate.  Raises NotConverged when
+    the horizon cap is reached unsettled with a correction above 1e-6.
     """
     return _gamma_sequence(params)[-1][1]
 
@@ -513,12 +504,11 @@ def gamma_closed_form(params: ModelParams) -> float:
 
     Matching the constant term of <nu; M> at the singularity forces
     gamma = (P*(x*) / (a_max beta q))^(1 - 1/beta) / P*(x*), with P* the
-    product of the non-maximal factors.  Used as a cross-check oracle for
-    the quadrature route.
+    product of the non-maximal factors.  It uses only P*(x*), a_max and
+    beta, so it cross-checks the flow route of gamma_constant (the panel
+    rule's tail and the Newton inverse at finite T).
     """
     ctx = critical_context(params)
-    if not ctx.a.argmax_unique:
-        raise UnsupportedTie("closed form requires a unique maximal weight")
     beta = 1.0 + ctx._E
     p_star = float(ctx._smooth(ctx.x_star))
     return (p_star / (ctx.a.amax * beta * params.q)) ** (1.0 - 1.0 / beta) / p_star
@@ -540,9 +530,6 @@ def conditional_limit_constant(params: ModelParams, ell: int) -> float:
     nk = law.mass(kstar)
     if ell == kstar:
         return 1.0 / (q + nk * (1.0 - q))
-    ctx = critical_context(params)
-    if not ctx.a.argmax_unique:
-        raise UnsupportedTie("conditional limit requires a unique maximal weight")
     profile = malthusian_rate(params)
     beta = profile.beta
     gam = gamma_constant(params)

@@ -334,9 +334,15 @@ def test_flow_domain_errors(mixed_params):
         analytic.flow(ctx, rho)
     with pytest.raises(DomainError):
         analytic.flow(ctx, -0.5)
+    # on a critical context q e^{-t} leaves the normal float range at t = 708
+    crit = analytic.critical_context(mixed_params)
     for fn in (analytic.flow, analytic.phi, lambda c, t: analytic.mgf_closed(c, 1, t)):
         with pytest.raises(DomainError):
             fn(ctx, math.nan)
+        for t in (745.0, 800.0):
+            with pytest.raises(DomainError):
+                fn(crit, t)
+        assert np.all(np.isfinite(fn(crit, 700.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +464,63 @@ def test_gamma_unsettled_at_horizon_cap_raises(mixed_params, binary_params, monk
 
 
 def test_gamma_small_q_within_cap():
-    # beta = 50.5: gamma needs the full horizon cap, where the tail
+    # beta = 25.5: gamma needs the full horizon cap, where the tail
     # correction (about 7e-9) is still small enough to stand
     params = ModelParams(new_law({1: 0.5, 2: 0.5}), 0.02)
     want = analytic.gamma_closed_form(params)
     assert analytic.gamma_constant(params) == pytest.approx(want, rel=1e-11)
+    # beta = 50.5: the correction at the cap is still about 1.5e-4
+    with pytest.raises(NotConverged):
+        analytic.gamma_constant(ModelParams(new_law({1: 0.5, 2: 0.5}), 0.01))
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_laws, q=st.floats(0.05, 0.95))
+def test_gamma_constant_matches_closed_form(law, q):
+    params = ModelParams(law, q)
+    want = analytic.gamma_closed_form(params)
+    assert analytic.gamma_constant(params) == pytest.approx(want, rel=1e-11)
+
+
+def _phi_shift_integral(ctx, beta, lo, hi):
+    """integral_lo^hi (phi(t) + 1/beta) dt by composite 24-node
+    Gauss-Legendre on panels of width at most 2: a quadrature of phi,
+    independent of the flow identity gamma_T = A'(T) e^{T/beta}."""
+    nodes, wts = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 2.0)) + 1)
+    pieces = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        vals = [analytic.phi(ctx, float(mid + half * u)) + 1.0 / beta for u in nodes]
+        pieces.append(half * math.fsum(w * v for w, v in zip(wts, vals)))
+    return math.fsum(pieces)
+
+
+@pytest.mark.parametrize("masses, q", [({1: 0.5, 2: 0.5}, 0.5), ({0: 0.2, 1: 0.3, 3: 0.5}, 0.4)])
+def test_gamma_sequence_matches_phi_quadrature(masses, q):
+    params = ModelParams(new_law(masses), q)
+    ctx = analytic.critical_context(params)
+    beta = analytic.malthusian_rate(params).beta
+    seq = [(T, g) for T, g in analytic._gamma_sequence(params) if math.isfinite(T)]
+    assert len(seq) >= 2
+    total, lo = 0.0, 0.0
+    for T, g in seq:
+        total += _phi_shift_integral(ctx, beta, lo, T)
+        assert g == pytest.approx(math.exp(total), rel=1e-12)
+        lo = T
+
+
+def test_gamma_solves_one_flow_point_per_horizon(mixed_params, monkeypatch):
+    # horizons 8, 16, 32 and 64, and phi(64) for the tail correction
+    real, times = analytic._flow_point, []
+
+    def counted(ctx, t):
+        times.append(t)
+        return real(ctx, t)
+
+    monkeypatch.setattr(analytic, "_flow_point", counted)
+    analytic.gamma_constant(mixed_params)
+    assert 0 < len(times) <= 6
 
 
 def test_gamma_stability_under_horizon_doubling(mixed_params):

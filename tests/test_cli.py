@@ -183,6 +183,7 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
      "--format", "csv"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,1:2,2:1"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,2:1", "--c", "2"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,2:1", "--t", "800"],
     ["verify", "--suite", "rates", "--seed", "-1"],
     ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "0"],
 ])
