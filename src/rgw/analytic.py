@@ -179,6 +179,11 @@ class AnalyticContext:
         self._rest_e = np.array([self.exponents[j] for j, _ in rest], dtype=float)
 
         self.i_total = self._integral(self.x_star)
+        # Pi_a(x) >= (1 - x a_max)^(sum of the exponents of a_j > 0) on [0, x*]
+        floor = self.x_star / (1.0 + self._E + math.fsum(self._rest_e))
+        if self.i_total < floor * (1.0 - 1e-9):
+            raise NotConverged(f"I_a(x*) = {self.i_total:.6g} is below its floor {floor:.6g}: "
+                               "the panel rule missed the peak of Pi_a at 0")
         gap = self.i_total - q
         if abs(gap) <= CRITICALITY_TOL:
             self.criticality = CRITICAL

@@ -53,52 +53,52 @@ def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale"
     return scale
 
 
+def _rank(counts: np.ndarray, n: int, binom: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each column of counts among the compositions of n: a
+    part c of a rest r with k parts after it skips binom[k, r] - binom[k, r - c]."""
+    rank, r = np.zeros(counts.shape[1], dtype=np.int64), np.full(counts.shape[1], n)
+    for i, c in enumerate(counts[:-1]):
+        k = len(counts) - 1 - i
+        rank += binom[k, r] - binom[k, r - c]
+        r -= c
+    return rank
+
+
 def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
              scale: float | None = None) -> MomentTable:
     """Exact E[Z(n)] (or E_ell[Z(n)]) from the lineage-chain recursion.
 
-    States are count compositions over the positive support; histories that
-    reach offspring count 0 carry zero product weight and are pruned.
-    States are visited in lexicographic order so sums are bit-reproducible.
+    Generation n holds one column per count composition of n over the
+    positive support and the weight of the histories reaching it (0 if none
+    do).  np.bincount adds a composition's terms from its predecessors
+    c - e_0 < c - e_1 < ... in lexicographic order from 0.0, and math.fsum
+    rounds each generation exactly, so sums are bit-reproducible.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     law, q = params.law, params.q
     initial = check_initial(law, initial)
-    pos = law.positive_support
+    pos = np.array(law.positive_support, dtype=float)
     s = len(pos)
     n_states = math.comb(n_max + s - 1, s - 1)
     if n_states > _STATE_CAP:
         raise StateExplosion(f"{n_states} composition states exceed cap {_STATE_CAP}")
     scale = _resolve_scale(params, scale)
 
+    probs = np.array([law.mass(int(j)) for j in pos])
+    counts = step = np.eye(s, dtype=np.int64)
+    binom = np.array([[math.comb(m + k, k) for m in range(n_max + 1)] for k in range(s)])
+    w = (probs if initial == "law" else pos == initial) * pos / scale
     scaled = np.zeros(n_max + 1)
-    scaled[0] = 1.0
-    states: dict[tuple[int, ...], float] = {}
-    if initial == "law":
-        for i, j in enumerate(pos):
-            unit = tuple(1 if k == i else 0 for k in range(s))
-            states[unit] = law.mass(j) * j / scale
-    elif initial > 0:
-        unit = tuple(1 if pos[k] == initial else 0 for k in range(s))
-        states[unit] = initial / scale
-    scaled[1] = math.fsum(states.values())
-
-    probs = [law.mass(j) for j in pos]
+    scaled[0], scaled[1] = 1.0, math.fsum(w.tolist())
     for n in range(1, n_max):
-        new: dict[tuple[int, ...], float] = {}
-        qn = q / n
-        for st, w in sorted(states.items()):
-            for i in range(s):
-                p = qn * st[i] + (1.0 - q) * probs[i]
-                st2 = st[:i] + (st[i] + 1,) + st[i + 1:]
-                inc = w * p * pos[i] / scale
-                if st2 in new:
-                    new[st2] += inc
-                else:
-                    new[st2] = inc
-        states = new
-        scaled[n + 1] = math.fsum(states.values())
+        inc = w * (q / n * counts + (1.0 - q) * probs[:, None]) * pos[:, None] / scale
+        nxt = (counts[:, None, :] + step[:, :, None]).reshape(s, -1)  # part-major successors
+        idx = _rank(nxt, n + 1, binom)
+        w = np.bincount(idx, weights=inc.ravel())
+        counts = np.empty((s, len(w)), dtype=np.int64)
+        counts[:, idx] = nxt
+        scaled[n + 1] = math.fsum(w.tolist())
     return MomentTable(scaled, scale)
 
 

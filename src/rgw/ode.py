@@ -23,6 +23,8 @@ from .errors import BlowUpDetected, DomainError, RgwError
 from .model import ModelParams
 
 BLOWUP_NORM = 1e8
+# solve_ivp lifts any rtol below this to it, with a warning
+_REL_TOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,15 @@ def integrate_M(params: ModelParams, a: WeightVector, t_max: float,
 
     t_max must be finite and lie strictly below the explosion time
     (DomainError otherwise); keeping t_max <= 0.9 * rho leaves a safety
-    margin.  rel_tol must lie in (0, 1).  If the max-norm of the state
-    crosses 1e8 the integrator raises BlowUpDetected carrying the crossing
-    time.  When t_eval is given, only those times are recorded, read off
-    the solver's dense output.
+    margin.  rel_tol must lie in [100 eps, 1), scipy's range for rtol.  If
+    the max-norm of the state crosses 1e8 the integrator raises
+    BlowUpDetected carrying the crossing time.  When t_eval is given, only
+    those times are recorded, read off the solver's dense output.
     """
     if not math.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max!r}")
-    if not (math.isfinite(rel_tol) and 0 < rel_tol < 1):
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+    if not (math.isfinite(rel_tol) and _REL_TOL_FLOOR <= rel_tol < 1):
+        raise DomainError(f"rel_tol must lie in [{_REL_TOL_FLOOR:.3g}, 1), got {rel_tol!r}")
     if t_max < 0:
         raise DomainError(f"t_max must be >= 0, got {t_max!r}")
     ctx = AnalyticContext(params, a)

@@ -215,6 +215,20 @@ def test_panel_rule_raises_when_not_converged(mixed_params, monkeypatch):
         analytic.pi_integral(ctx, 0.1)
 
 
+def test_panel_rule_missing_the_peak_raises():
+    # Pi_a = (1 - x)^(1/q - 1) here, so i_a = q exactly; at q = 1e-6 every
+    # Gauss node misses the peak at 0 and both orders read 0
+    law = new_law({1: 0.5, 2: 0.5})
+    a = analytic.constant_weights(law, 1.0)
+    with pytest.raises(NotConverged):
+        analytic.explosion_time(ModelParams(law, 1e-6), a)
+    with pytest.raises(NotConverged):
+        analytic.malthusian_rate(ModelParams(law, 3e-7))
+    ctx = analytic.AnalyticContext(ModelParams(law, 1.5e-6), a)
+    assert ctx.i_total == pytest.approx(1.5e-6, rel=1e-12)
+    assert ctx.explosion_time == math.inf
+
+
 def test_newton_raises_at_iteration_cap(mixed_params, monkeypatch):
     ctx = analytic.critical_context(mixed_params)
     monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from rgw import analytic, cli, verify
+from rgw import analytic, cli, ode, verify
 from rgw.errors import DomainError
 
 
@@ -186,11 +186,24 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,2:1", "--t", "800"],
     ["verify", "--suite", "rates", "--seed", "-1"],
     ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "0"],
+    ["rate", "--law", "1:0.5,2:0.5", "--q", "3e-7"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--rel-tol", "1e-20"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
     assert code == 1 and out == ""
     assert err.startswith("rgw: error:")
+
+
+def test_ode_check_names_the_users_time(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrate_M must not be called")
+
+    monkeypatch.setattr(ode, "integrate_M", never)
+    code, out, err = run_cli_err(["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5",
+                                  "--weights", "1:1,2:1", "--t", "800"])
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error: t=800.0 is too large")
 
 
 def test_ode_check_start_guess_does_not_overflow():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgw import analytic, exact
 from rgw.errors import DomainError, SeriesDiverges, StateExplosion, ZeroPopulationMean
@@ -163,6 +165,98 @@ def test_spine_dp_errors(mixed_params):
     for scale in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             exact.spine_dp(mixed_params, 3, scale=scale)
+
+
+# ---------------------------------------------------------------------------
+# the composition lattice against a dict of composition tuples
+# ---------------------------------------------------------------------------
+
+def dict_spine_dp(params, n_max, initial, scale):
+    """Reference: the lineage-chain recursion over a dict keyed by count
+    tuples, visited in sorted order, each term a Python float product.
+    spine_dp must reproduce its tables bit for bit."""
+    law, q = params.law, params.q
+    pos = law.positive_support
+    s = len(pos)
+    scaled = np.zeros(n_max + 1)
+    scaled[0] = 1.0
+    states = {}
+    for i, j in enumerate(pos):
+        if initial in ("law", j):
+            unit = tuple(1 if k == i else 0 for k in range(s))
+            states[unit] = (law.mass(j) if initial == "law" else 1.0) * j / scale
+    scaled[1] = math.fsum(states.values())
+    probs = [law.mass(j) for j in pos]
+    for n in range(1, n_max):
+        new = {}
+        for st_, w in sorted(states.items()):
+            for i in range(s):
+                p = q / n * st_[i] + (1.0 - q) * probs[i]
+                succ = st_[:i] + (st_[i] + 1,) + st_[i + 1:]
+                inc = w * p * pos[i] / scale
+                new[succ] = new[succ] + inc if succ in new else inc
+        states = new
+        scaled[n + 1] = math.fsum(states.values())
+    return scaled
+
+
+def _panel_law(n_pos, zero):
+    masses = {j: 1.0 + 0.37 * j for j in range(1, n_pos + 1)}
+    if zero:
+        masses[0] = 0.9
+    total = sum(masses.values())
+    return new_law({k: v / total for k, v in masses.items()})
+
+
+_PANEL = [(n_pos, zero, n) for n_pos, n in ((1, 64), (2, 64), (3, 40), (5, 14), (7, 8))
+          for zero in (False, True) if n_pos > 1 or zero]
+
+
+@pytest.mark.parametrize("n_pos, zero, n", _PANEL)
+def test_spine_dp_bitwise_matches_dict_panel(n_pos, zero, n):
+    law = _panel_law(n_pos, zero)
+    params = ModelParams(law, 0.37)
+    scale = analytic.malthusian_rate(params).m
+    for initial in ("law", *law.support):
+        got = exact.spine_dp(params, n, initial=initial, scale=scale).scaled
+        assert np.array_equal(got, dict_spine_dp(params, n, initial, scale)), initial
+
+
+def test_spine_dp_bitwise_matches_dict_long_table(mixed_params):
+    scale = analytic.malthusian_rate(mixed_params).m
+    got = exact.spine_dp(mixed_params, 1024, scale=scale).scaled
+    assert np.array_equal(got, dict_spine_dp(mixed_params, 1024, "law", scale))
+
+
+_lattice_laws = st.tuples(
+    st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True), st.booleans(),
+).filter(lambda t: len(t[0]) + t[1] >= 2).flatmap(
+    lambda t: st.lists(st.integers(1, 9), min_size=len(t[0]) + t[1],
+                       max_size=len(t[0]) + t[1]).map(
+        lambda w: new_law({k: v / sum(w) for k, v in zip(sorted(t[0]) + [0] * t[1], w)})))
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_lattice_laws, q=st.floats(0.05, 0.95), n=st.integers(1, 30), data=st.data())
+def test_spine_dp_bitwise_matches_dict_property(law, q, n, data):
+    n = min(n, {1: 30, 2: 30, 3: 30, 4: 24, 5: 18}[len(law.positive_support)])
+    initial = data.draw(st.sampled_from(("law", *law.support)))
+    params = ModelParams(law, q)
+    got = exact.spine_dp(params, n, initial=initial, scale=2.5).scaled
+    assert np.array_equal(got, dict_spine_dp(params, n, initial, 2.5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pts=st.lists(st.integers(0, 8), min_size=2, max_size=4, unique=True).filter(
+           lambda pts: max(pts) > 0),
+       q=st.floats(0.05, 0.95), n=st.integers(1, 20), data=st.data())
+def test_spine_dp_matches_urn_dp_property(pts, q, n, data):
+    w = data.draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)))
+    params = ModelParams(new_law({k: v / sum(w) for k, v in zip(pts, w)}), q)
+    scale = analytic.malthusian_rate(params).m
+    a = exact.spine_dp(params, n, scale=scale).scaled
+    b = exact.urn_dp(params, n, scale=scale).scaled
+    assert np.max(np.abs(a - b) / np.abs(b)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_domain_and_blowup(mixed_params):
     {"t_max": 0.3, "rel_tol": math.nan}, {"t_max": 0.3, "rel_tol": -1.0},
     {"t_max": 0.3, "rel_tol": 0.0}, {"t_max": 0.3, "rel_tol": 1.0},
     {"t_max": 0.3, "rel_tol": math.inf}, {"t_max": 0.3, "t_eval": [0.0, math.nan]},
-    {"t_max": 0.3, "t_eval": [math.nan]},
+    {"t_max": 0.3, "t_eval": [math.nan]}, {"t_max": 0.3, "rel_tol": 1e-15},
 ])
 def test_bad_horizon_and_tolerance(mixed_params, kwargs):
     a = analytic.linear_weights(mixed_params.law)
