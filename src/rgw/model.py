@@ -4,7 +4,8 @@ A reproduction law is a finite-support probability mass function on
 offspring counts.  The model couples a law with a memory parameter
 q in (0,1): each individual either repeats the offspring count of a
 uniformly chosen ancestor on its lineage (probability q) or draws a
-fresh sample from the law (probability 1-q).
+fresh sample from the law (probability 1-q).  Law files and "k:v" text
+are read by one reader of (count, value) pairs.
 """
 from __future__ import annotations
 
@@ -81,30 +82,34 @@ def new_law(masses: Mapping[int, float]) -> ReproductionLaw:
     return ReproductionLaw(MappingProxyType(normalized), max(normalized))
 
 
-def parse_pairs(text: str) -> dict[int, float]:
-    """Parse "k:v,k:v,..." into {k: v}.  Raises ParseError on a malformed or
-    duplicate item, a count above MAX_COUNT, or no items."""
-    pairs: dict[int, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise ParseError(f"expected 'count:value', got {item!r}")
+def _read_pairs(pairs, source) -> dict[int, float]:
+    """{count: value} from (count, value) pairs.  Raises ParseError on a count
+    or value that does not parse, a count above MAX_COUNT, a duplicate
+    count, or no pairs; source names the input in the message."""
+    out: dict[int, float] = {}
+    for k, v in pairs:
         try:
-            k = int(parts[0])
-            v = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"cannot parse {item!r}: {exc}") from None
-        if k > MAX_COUNT:
-            raise ParseError(f"offspring count {k} exceeds cap {MAX_COUNT}")
-        if k in pairs:
-            raise ParseError(f"duplicate count {k}")
-        pairs[k] = v
-    if not pairs:
-        raise ParseError(f"no entries in {text!r}")
-    return pairs
+            ki, vf = int(k), float(v)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"cannot parse {k!r}: {v!r} ({exc})") from None
+        if ki > MAX_COUNT:
+            raise ParseError(f"offspring count {ki} exceeds cap {MAX_COUNT}")
+        if ki in out:
+            raise ParseError(f"duplicate count {ki}")
+        out[ki] = vf
+    if not out:
+        raise ParseError(f"no entries in {source!r}")
+    return out
+
+
+def parse_pairs(text: str) -> dict[int, float]:
+    """Parse "k:v,k:v,..." into {k: v}; errors as in _read_pairs, plus an
+    item that is not one "count:value"."""
+    pairs = [item.split(":") for item in text.split(",") if item.strip()]
+    for parts in pairs:
+        if len(parts) != 2:
+            raise ParseError(f"expected 'count:value', got {':'.join(parts).strip()!r}")
+    return _read_pairs(pairs, text)
 
 
 def parse_law(text: str) -> ReproductionLaw:
@@ -159,17 +164,7 @@ def params_from_dict(obj: Mapping) -> ModelParams:
         raise ParseError(f"law file needs 'law' map and 'q': {exc}") from None
     if not isinstance(raw, Mapping):
         raise ParseError(f"law file 'law' must be a map of counts to masses, got {raw!r}")
-    masses = {}
-    for k, p in raw.items():
-        try:
-            ki = int(k)
-            pf = float(p)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad law entry {k!r}: {p!r} ({exc})") from None
-        if ki > MAX_COUNT:
-            raise ParseError(f"offspring count {ki} exceeds cap {MAX_COUNT}")
-        masses[ki] = pf
-    return ModelParams(new_law(masses), q)
+    return ModelParams(new_law(_read_pairs(raw.items(), raw)), q)
 
 
 def load_params(path: str) -> ModelParams:

@@ -1,11 +1,11 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
 Every variate is a pure function of (seed, stream salt, replica, counter),
-computed with the splitmix64 finalizer on 64-bit integers.  Results are
-therefore identical regardless of batching, thread scheduling, or the
-order in which replicas are evaluated.  Statistical quality is that of
-splitmix64, which is adequate for the 4-sigma comparisons made here;
-this is not a cryptographic generator.
+computed with the splitmix64 finalizer (`_mix64`) on 64-bit integers.
+Results are therefore identical regardless of batching, thread
+scheduling, or the order in which replicas are evaluated.  Statistical
+quality is that of splitmix64, which is adequate for the 4-sigma
+comparisons made here; this is not a cryptographic generator.
 """
 from __future__ import annotations
 
@@ -19,10 +19,14 @@ _INV_2_53 = 2.0**-53
 
 
 def _mix64(x: np.ndarray | np.uint64):
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer, in place on an array (a numpy scalar is rebound);
+    callers run it under np.errstate(over="ignore")."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def derive_keys(seed: int, salt: int, replicas: np.ndarray | int) -> np.ndarray | np.uint64:
@@ -45,12 +49,6 @@ def uniforms(keys, counters):
         else np.uint64(int(counters))
     )
     with np.errstate(over="ignore"):
-        x = keys + counters * _GOLDEN
-        # _mix64 on the fresh array x in place (a numpy scalar is rebound)
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
+        x = _mix64(keys + counters * _GOLDEN)
     x >>= np.uint64(11)
     return x * _INV_2_53

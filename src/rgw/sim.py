@@ -4,10 +4,10 @@ and the typed pure-birth (Yule) process.
 Replica r draws every variate from a counter-based stream keyed by
 (seed, r), so estimates are reproducible bit-for-bit independent of batch
 sizes.  Reductions run in replica order.  Every engine is vectorised
-across replicas.  All three engines share one step rule (`_step`) over
-cumulative forebear counts, one uniform per child, and one law sampler
-(`_law_index`); the Yule engine advances all live replicas by one birth
-per round (counter layout in `simulate_yule`).
+across replicas.  All three engines share one root draw (`_roots`), one
+step rule (`_step`) over cumulative forebear counts with one uniform per
+child, and one law sampler (`_law_index`); the Yule engine advances all
+live replicas by one birth per round (counter layout in `simulate_yule`).
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PopulationCapExceeded
-from .model import ModelParams, check_initial
+from .errors import DomainError, NotConverged, PopulationCapExceeded, QuadratureInconsistent
+from .model import ModelParams, check_initial, mean
 from .rng import derive_keys, uniforms
 
 _SALT_SPINE = 0x53
@@ -38,6 +38,8 @@ class SimConfig:
     population_cap: int = 10**6
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
         if self.replicas < 1:
             raise DomainError(f"replicas must be >= 1, got {self.replicas}")
         if self.population_cap < 1:
@@ -81,6 +83,13 @@ def _law_index(cum, u):
     for c in cum[:-1]:
         idx += u >= c
     return idx
+
+
+def _roots(keys, initial, support, cum):
+    """Support index of each stream's first value; a law draw reads counter 0."""
+    if initial == "law":
+        return _law_index(cum, uniforms(keys, 0))
+    return np.full(np.shape(keys), np.searchsorted(support, initial))
 
 
 def _step(cols, i, u, q, zero, cum):
@@ -137,10 +146,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
         hi = min(lo + _SPINE_BATCH, config.replicas)
         slot = np.arange(lo, hi)
         keys = derive_keys(config.seed, _SALT_SPINE, slot.astype(np.uint64))
-        if initial == "law":
-            idx = _law_index(cum, uniforms(keys, 0))
-        else:
-            idx = np.full(hi - lo, np.searchsorted(support, initial))
+        idx = _roots(keys, initial, support, cum)
         prod = value[idx]
         # cols[j]: how many values drawn so far are among pos[0..j], j < s-1
         cols = np.zeros((s - 1, hi - lo))
@@ -198,44 +204,34 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum):
     z = np.zeros((b, n + 1))
     z[:, 0] = 1.0
     capped = np.zeros(b, dtype=bool)
-    cap_gen = np.full(b, n + 2, dtype=np.int64)
-    base = np.zeros(b, dtype=np.uint64)
-    # individuals are grouped by replica, counts_per_rep of each; cols[:, k]
-    # counts individual k's forebear values as in _step
-    counts_per_rep = np.ones(b, dtype=np.int64)
+    # individuals are grouped by replica (rep); cols[:, k] counts individual
+    # k's forebear values as in _step.  Each root takes counter 0.
+    rep = np.arange(b)
+    idx = _roots(keys, initial, support, cum)
+    base = np.ones(b, dtype=np.uint64)
     cols = np.zeros((s - 1, b))
-    for g in range(n):
-        rep = np.repeat(np.arange(b), counts_per_rep)
-        rows = len(rep)
-        if rows == 0:
+    for g in range(1, n + 1):
+        cnt = support[idx]
+        z_next = np.bincount(rep, weights=cnt.astype(float), minlength=b)
+        z[:, g] = np.where(capped, np.nan, z_next)
+        capped |= z_next > config.population_cap
+        counts_per_rep = np.where(capped, 0, z_next).astype(np.int64)
+        rows = int(counts_per_rep.sum())
+        if g == n or rows == 0:
+            z[capped, g + 1:] = np.nan
             break
+        keep = np.flatnonzero(~capped[rep] & (cnt > 0))
+        cols = np.take(cols, keep, axis=1)
+        _absorb(cols, np.take(idx, keep), zero)
+        cols = np.repeat(cols, np.take(cnt, keep), axis=1)
+        rep = np.repeat(np.arange(b), counts_per_rep)
         starts = np.cumsum(counts_per_rep) - counts_per_rep
         # individual k of replica r reads counter base[r] + k
         with np.errstate(over="ignore"):
             ctr = np.arange(rows, dtype=np.uint64)
             ctr += np.repeat(base - starts.astype(np.uint64), counts_per_rep)
-        u = uniforms(np.repeat(keys, counts_per_rep), ctr)
-        if g > 0:
-            idx = _step(cols, g, u, q, zero, cum)
-        elif initial == "law":
-            idx = _law_index(cum, u)
-        else:
-            idx = np.full(rows, np.searchsorted(support, initial))
-        cnt = support[idx]
-        with np.errstate(over="ignore"):
             base += counts_per_rep.astype(np.uint64)
-        z_next = np.bincount(rep, weights=cnt.astype(float), minlength=b)
-        z[:, g + 1] = z_next
-        newly = (~capped) & (z_next > config.population_cap)
-        capped |= newly
-        cap_gen[newly] = g + 1
-        keep = np.flatnonzero(~capped[rep] & (cnt > 0))
-        counts_per_rep = np.where(capped, 0, z_next).astype(np.int64)
-        cols = np.take(cols, keep, axis=1)
-        _absorb(cols, np.take(idx, keep), zero)
-        cols = np.repeat(cols, np.take(cnt, keep), axis=1)
-    for r in np.nonzero(capped)[0]:
-        z[r, cap_gen[r] + 1:] = np.nan
+        idx = _step(cols, g, uniforms(np.repeat(keys, counts_per_rep), ctr), q, zero, cum)
     return z, capped
 
 
@@ -258,8 +254,13 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
 
     from .analytic import malthusian_rate
 
+    try:
+        m = malthusian_rate(params).m
+    except (NotConverged, QuadratureInconsistent):
+        # the upper domination bound, tight as q -> 0; draws do not depend on batch size
+        m = params.law.kstar * params.q + (1.0 - params.q) * mean(params.law)
+    cap = config.population_cap
     # m ** n overflows a float at deep horizons, so compare in log space first
-    m, cap = malthusian_rate(params).m, config.population_cap
     est_final = min(cap, 4.0 * m ** n + 4.0) if n * math.log(m) < math.log(cap) else cap
     batch = int(_POP_CELL_BUDGET / ((n + 1) * est_final))
     batch = max(16, min(config.replicas, batch))
@@ -325,12 +326,8 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
     keys = derive_keys(config.seed, _SALT_YULE, np.arange(n, dtype=np.uint64))
     counts = np.zeros((n, len(support)), dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
-    if initial == "law":
-        counts[np.arange(n), _law_index(cum, uniforms(keys, 0))] = 1
-        off = 1
-    else:
-        counts[:, law.support.index(initial)] = 1
-        off = 0
+    counts[np.arange(n), _roots(keys, initial, support, cum)] = 1
+    off = int(initial == "law")
     live = np.arange(n)
     now = np.zeros(n)
     k = 1

@@ -272,6 +272,29 @@ def test_rate_exceeds_qkstar():
         assert prof.lower <= prof.m <= prof.upper
 
 
+@st.composite
+def _bound_laws(draw):
+    """2-5 support points in 0..12, with or without 0, masses from integer weights 1-20."""
+    zero = draw(st.booleans())
+    pts = draw(st.lists(st.integers(1, 12), min_size=2 - zero, max_size=5 - zero, unique=True))
+    pts = sorted(pts + [0] * zero)
+    w = draw(st.lists(st.integers(1, 20), min_size=len(pts), max_size=len(pts)))
+    return new_law({k: x / sum(w) for k, x in zip(pts, w)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=_bound_laws(), q=st.floats(0.01, 0.99))
+def test_rate_within_domination_bounds(law, q):
+    prof = analytic.malthusian_rate(ModelParams(law, q))
+    tol = 1e-12 * law.kstar
+    assert prof.lower - tol <= prof.m <= prof.upper + tol
+    if len(law.positive_support) >= 2:
+        assert prof.lower < prof.m < prof.upper
+    else:
+        # one positive point: both bounds are k* (q + (1 - q) nu_k*)
+        assert prof.upper - prof.lower <= tol
+
+
 def test_rate_limits(mixed_params):
     law = mixed_params.law
     m_lo, m_hi = analytic.rate_limits(law, 1e-4, 1 - 1e-4)

@@ -188,6 +188,10 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "0"],
     ["rate", "--law", "1:0.5,2:0.5", "--q", "3e-7"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--rel-tol", "1e-20"],
+    ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--replicas", "100",
+     "--seed", "-1"],
+    ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--replicas", "100",
+     "--seed", "18446744073709551616"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
@@ -272,6 +276,28 @@ def test_law_file_law_not_a_map_exits_one(law, tmp_path):
     code, out, err = run_cli_err(["rate", "--law-file", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("rgw: error:")
+
+
+@pytest.mark.parametrize("law", [
+    {"1": 0.3, "01": 0.5, "2": 0.5}, {}, {"2000000": 1.0}, {"x": 1.0}, {"1": "abc"},
+    {"1": None},
+])
+def test_law_file_bad_map_exits_one(law, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"law": law, "q": 0.5}))
+    code, out, err = run_cli_err(["rate", "--law-file", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error:")
+
+
+def test_population_runs_where_the_rate_quadrature_fails():
+    # malthusian_rate raises NotConverged at this q; batch sizing falls back to
+    # the upper bound, and the spine engine never needed the rate
+    argv = ["simulate", "--law", "1:0.5,2:0.5", "--q", "3e-7", "--n", "5", "--replicas", "100"]
+    code, out, err = run_cli_err(argv)
+    assert code == 0 and err == ""
+    est = json.loads(out)["estimate"]
+    assert est["replicas_used"] == 100 and est["capped_fraction"] == 0.0
 
 
 def test_unknown_verify_suite_is_a_domain_error():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgw import exact, sim
-from rgw.errors import DomainError, PopulationCapExceeded
+from rgw import analytic, exact, sim
+from rgw.errors import DomainError, NotConverged, PopulationCapExceeded, QuadratureInconsistent
 from rgw.model import ModelParams, new_law
 from rgw.rng import derive_keys, uniforms
 
@@ -54,6 +54,11 @@ def test_sim_config_validation():
         sim.SimConfig(seed=1, replicas=0)
     with pytest.raises(DomainError):
         sim.SimConfig(seed=1, replicas=10, population_cap=0)
+    # the streams key on the seed's low 64 bits, so any other seed would alias one
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(DomainError):
+            sim.SimConfig(seed=seed, replicas=10)
+    assert sim.SimConfig(seed=2**64 - 1, replicas=10).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("initial", [5, "foo", 2.7, True])
@@ -251,6 +256,28 @@ def test_rgw_population_cap():
     assert est.replicas_used == 50 - res.capped.sum()
 
 
+@pytest.mark.parametrize("error", [NotConverged, QuadratureInconsistent])
+@pytest.mark.parametrize("law, n, cap", [
+    # m = 2.228 and its upper bound 2.28 give batches of 22 and 19 replicas
+    ({0: 0.2, 1: 0.3, 3: 0.5}, 5, 10**6),
+    # about half the replicas hit the cap
+    ({0: 0.2, 1: 0.3, 6: 0.5}, 4, 200),
+])
+def test_rgw_sizes_batches_without_the_rate(error, law, n, cap, monkeypatch):
+    params = ModelParams(new_law(law), 0.4)
+    cfg = sim.SimConfig(seed=5, replicas=200, population_cap=cap)
+    monkeypatch.setattr(sim, "_POP_CELL_BUDGET", 3e4)
+    want = sim.simulate_rgw(params, n, cfg)
+
+    def broken(params):
+        raise error("no rate")
+
+    monkeypatch.setattr(analytic, "malthusian_rate", broken)
+    got = sim.simulate_rgw(params, n, cfg)
+    assert np.array_equal(got.z, want.z, equal_nan=True)
+    assert np.array_equal(got.capped, want.capped)
+
+
 def test_rgw_all_capped_raises():
     params = ModelParams(new_law({2: 0.5, 3: 0.5}), 0.5)
     res = sim.simulate_rgw(params, 8, sim.SimConfig(seed=1, replicas=10,
@@ -333,6 +360,17 @@ def test_rgw_matches_per_individual_history(law, q, n, initial, cap):
         # about 3 % of replicas stay under the cap: all 300 capped has
         # probability near 1e-4, none capped near 0
         assert capped.any() and not capped.all()
+
+
+def test_rgw_capped_rows_stay_nan_after_the_last_death():
+    # every replica is capped or extinct by generation 6 of 15, so the run stops early
+    params = ModelParams(new_law({0: 0.6, 4: 0.4}), 0.3)
+    cfg = sim.SimConfig(seed=29, replicas=300, population_cap=5)
+    res = sim.simulate_rgw(params, 15, cfg)
+    z, capped = _population_reference(params, 15, cfg, "law")
+    assert np.array_equal(res.z, z, equal_nan=True)
+    assert np.array_equal(res.capped, capped)
+    assert capped.any() and np.isnan(res.z[capped, -1]).all()
 
 
 _small_laws = st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True).flatmap(
