@@ -29,7 +29,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy import special as _scipy_special
 
 from .errors import DomainError, NotConverged, QuadratureInconsistent, UnsupportedTie
 from .model import ModelParams, ReproductionLaw, mean
@@ -62,7 +61,9 @@ NON_EXPLOSIVE = "non-explosive"
 def _gauss(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rules of the _ORDERS on [-1, 1] with
     weight (1 - u)^alpha, concatenated; alpha = 0 is Gauss-Legendre."""
-    rules = [_scipy_special.roots_jacobi(n, alpha, 0.0) for n in _ORDERS]
+    from scipy.special import roots_jacobi
+
+    rules = [roots_jacobi(n, alpha, 0.0) for n in _ORDERS]
     return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
 
 

@@ -312,7 +312,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results, _ = verify.run_suite(args.suite, args.seed)
+    results, timings = verify.run_suite(args.suite, args.seed)
     if args.format == "json":
         payload = {
             "config": {"suite": args.suite, "seed": args.seed},
@@ -325,6 +325,8 @@ def _cmd_verify(args) -> int:
         _emit_json(payload, args.out)
     else:
         _emit(verify.format_report(results, args.suite, args.seed), args.out)
+    if args.timings:
+        _emit_json(timings, args.timings)
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -389,6 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
+    p.add_argument("--timings", help="write each check's wall time in seconds as JSON")
     p.set_defaults(func=_cmd_verify)
 
     return parser

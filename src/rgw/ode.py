@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analytic import AnalyticContext, WeightVector, mgf_vector
 from .errors import BlowUpDetected, DomainError, RgwError
@@ -101,6 +100,8 @@ def integrate_M(params: ModelParams, a: WeightVector, t_max: float,
         return float(np.max(np.abs(state))) - BLOWUP_NORM
 
     blowup.terminal = True
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(f, (0.0, t_max), y0, method="DOP853", rtol=rel_tol, atol=1e-12,
                     events=blowup, dense_output=True)
     if sol.status == -1:

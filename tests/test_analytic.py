@@ -382,6 +382,51 @@ def test_flow_domain_errors(mixed_params):
         assert np.all(np.isfinite(fn(crit, 700.0)))
 
 
+def _mp_pi_and_log_slope(law, q, x):
+    """Pi_a(x) for linear weights at 30 digits, and |d log Pi_a / dx| there."""
+    with mpmath.workdps(30):
+        expo = {j: mpmath.mpf(law.mass(j)) * (1 - mpmath.mpf(q)) / q
+                for j in law.support if j > 0}
+        pi = mpmath.fprod((1 - x * j) ** e for j, e in expo.items())
+        return pi, mpmath.fsum(e * j / (1 - x * j) for j, e in expo.items())
+
+
+@settings(max_examples=15, deadline=None)
+@given(law=_laws, q=st.floats(0.05, 0.95))
+def test_explosion_time_matches_mpmath(law, q):
+    # pi_integral promises i_a to relative 1e-11, and rho = -log(1 - i_a/q)
+    # moves by d i_a / (q - i_a), so rho may be off by 1e-11 i_a / (q - i_a)
+    rho = analytic.explosion_time(ModelParams(law, q), analytic.linear_weights(law))
+    with mpmath.workdps(30):
+        i_a = _mp_integral(law, q, mpmath.mpf(1) / law.kstar)
+        if i_a >= q * (1 + 1e-9):
+            assert rho == math.inf
+            return
+        assume(i_a <= q * (1 - 1e-9))
+        want = -mpmath.log(1 - i_a / q)
+        assert abs(rho - want) <= 1e-11 * i_a / (q - i_a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(law=_laws, q=st.floats(0.05, 0.95), frac=st.floats(0.01, 0.9))
+@example(law=new_law({1: 0.5, 2: 0.5}), q=0.5, frac=0.9)
+def test_flow_matches_mpmath_root(law, q, frac):
+    # flow promises x = q A(t) to absolute 1e-13; A'(t) = e^{-t} / Pi_a(x)
+    # then moves by |d log Pi_a / dx| times that, and by 1e-13 from Pi_a itself
+    ctx = analytic.AnalyticContext(ModelParams(law, q), analytic.linear_weights(law))
+    assume(math.isfinite(ctx.explosion_time))
+    t = frac * ctx.explosion_time
+    value, deriv = analytic.flow(ctx, t)
+    with mpmath.workdps(30):
+        target = q * -mpmath.expm1(-mpmath.mpf(t))
+        x = mpmath.mpf(q * value)
+        for _ in range(2):  # Newton from flow's own root, I_a' = Pi_a
+            x -= (_mp_integral(law, q, x) - target) / _mp_pi_and_log_slope(law, q, x)[0]
+        pi, slope = _mp_pi_and_log_slope(law, q, x)
+        assert abs(q * value - x) <= 1e-13
+        assert abs(deriv * pi / mpmath.exp(-mpmath.mpf(t)) - 1) <= 1e-13 * (1 + slope)
+
+
 # ---------------------------------------------------------------------------
 # phi and the closed-form moment generating functions
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -303,6 +306,75 @@ def test_population_runs_where_the_rate_quadrature_fails():
 def test_unknown_verify_suite_is_a_domain_error():
     with pytest.raises(DomainError):
         verify.run_suite("nonsense")
+
+
+def test_verify_seed_past_the_offset_range_exits_one():
+    # c12 would seed its engine at 2**64 + 996, a seed the user never typed
+    code, out, err = run_cli_err(["verify", "--suite", "montecarlo",
+                                  "--seed", "18446744073709551615"])
+    assert code == 1 and out == ""
+    assert err.startswith("rgw: error:")
+    assert "18446744073709551615" in err and str(verify.MAX_SEED) in err
+    with pytest.raises(DomainError):
+        verify.run_suite("montecarlo", verify.MAX_SEED + 1)
+
+
+def test_verify_accepts_the_largest_seed(monkeypatch):
+    seen = []
+
+    def stub(seed):
+        seen.append(seed)
+        return verify.CheckResult("c00", "stub", True, "")
+
+    monkeypatch.setattr(verify, "SUITES", {name: (stub,) for name in verify.SUITE_ORDER})
+    code, out = run_cli(["verify", "--seed", str(verify.MAX_SEED)])
+    assert code == 0 and seen == [verify.MAX_SEED] * len(verify.SUITE_ORDER)
+    assert f"seed={verify.MAX_SEED}" in out
+
+
+def test_verify_timings_file(tmp_path):
+    path = tmp_path / "timings.json"
+    code, out = run_cli(["verify", "--suite", "rates", "--seed", "42",
+                         "--timings", str(path)])
+    _, plain = run_cli(["verify", "--suite", "rates", "--seed", "42"])
+    assert code == 0 and out == plain
+    timings = json.loads(path.read_text())
+    assert list(timings) == ["c01", "c02", "c03", "c04", "c05"]
+    assert all(isinstance(s, float) and s >= 0.0 for s in timings.values())
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import rgw, rgw.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+law = ["--law", "1:0.5,2:0.5", "--q", "0.5"]
+seen, codes = {"import": scipy_modules()}, []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(rgw.cli.main(["simulate", "--engine", "spine", *law, "--n", "3",
+                               "--replicas", "20"]))
+    codes.append(rgw.cli.main(["yule", *law, "--t", "0.3", "--replicas", "20"]))
+    seen["monte_carlo"] = scipy_modules()
+    codes.append(rgw.cli.main(["rate", *law]))
+    seen["rate"] = scipy_modules()
+print(json.dumps({"codes": codes, **seen}))
+"""
+
+
+def test_only_the_callers_of_scipy_load_it():
+    # a fresh interpreter: importing rgw and running the Monte Carlo
+    # subcommands loads no scipy module, and a rate loads scipy.special only
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0]
+    assert seen["import"] == [] and seen["monte_carlo"] == []
+    assert "scipy.special" in seen["rate"]
+    assert "scipy.integrate" not in seen["rate"]
 
 
 def test_moments_past_float_range_are_inf_without_warnings():
