@@ -13,7 +13,6 @@ from .analytic import (
     flow,
     gamma_closed_form,
     gamma_constant,
-    gamma_function,
     linear_weights,
     malthusian_rate,
     mgf_closed,
@@ -22,13 +21,11 @@ from .analytic import (
     phi_limit,
     pi_integral,
     pi_integral_inverse,
-    pi_weighted,
     rate_limits,
     weights_from_map,
 )
 from .exact import (
     MomentTable,
-    effective_reproduction,
     spine_dp,
     urn_dp,
     yule_functional_series,

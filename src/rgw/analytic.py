@@ -286,12 +286,6 @@ def _check_in_domain(ctx: AnalyticContext, x: float) -> float:
     return min(max(x, 0.0), ctx.x_star)
 
 
-def pi_weighted(ctx: AnalyticContext, x: float) -> float:
-    """The product Pi_a(x); equals 1 at 0 and 0 at x* = 1/max(a)."""
-    x = _check_in_domain(ctx, x)
-    return float(ctx._pi(x))
-
-
 def pi_integral(ctx: AnalyticContext, x: float) -> float:
     """I_a(x) = integral_0^x Pi_a(y) dy, relative error <= 1e-11.
 
@@ -539,11 +533,5 @@ def conditional_limit_constant(params: ModelParams, ell: int) -> float:
     profile = malthusian_rate(params)
     beta = profile.beta
     gam = gamma_constant(params)
-    return gam / (gamma_function(1.0 - 1.0 / beta) * profile.m * (1.0 / ell - 1.0 / kstar))
-
-
-def gamma_function(x: float) -> float:
-    """Euler Gamma on (0, inf); relative error at the libm level (<1e-12 on (0,10])."""
-    if not (x > 0) or math.isinf(x):
-        raise DomainError(f"gamma_function needs x > 0, got {x!r}")
-    return math.gamma(x)
+    # 1 - 1/beta lies in (0, 1), where math.gamma is finite and positive
+    return gam / (math.gamma(1.0 - 1.0 / beta) * profile.m * (1.0 / ell - 1.0 / kstar))

@@ -29,10 +29,6 @@ class StateExplosion(RgwError):
     """Dynamic program would require too many states."""
 
 
-class ZeroPopulationMean(RgwError):
-    """A moment table value is zero where a positive value is required."""
-
-
 class SeriesDiverges(RgwError):
     """Generating series evaluated at or beyond its radius of convergence."""
 

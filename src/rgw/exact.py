@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SeriesDiverges, StateExplosion, ZeroPopulationMean
+from .errors import DomainError, SeriesDiverges, StateExplosion
 from .model import ModelParams, check_initial
 
 _STATE_CAP = 10**7
@@ -145,14 +145,6 @@ def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> Momen
             p * math.prod(mom[sz] for sz in part) for part, p in sorted(dist.items())
         )
     return MomentTable(scaled, scale)
-
-
-def effective_reproduction(table: MomentTable) -> np.ndarray:
-    """Ratios E[Z(n+1)]/E[Z(n)]; converge to the Malthusian rate."""
-    sc = table.scaled
-    if np.any(sc[:-1] <= 0.0):
-        raise ZeroPopulationMean("table contains a zero mean; ratios undefined")
-    return sc[1:] / sc[:-1] * table.scale
 
 
 def yule_functional_series(params: ModelParams, ell: int, c: float, t: float,

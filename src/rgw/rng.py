@@ -40,6 +40,13 @@ def derive_keys(seed: int, salt: int, replicas: np.ndarray | int) -> np.ndarray 
         return _mix64(base + _mix64(rep * _GOLDEN + np.uint64(1)))
 
 
+def advance(keys, offsets):
+    """Keys whose counter c reads what `keys` read at counter offsets + c:
+    `uniforms` hashes keys + counters * _GOLDEN, mod 2**64."""
+    with np.errstate(over="ignore"):
+        return np.asarray(keys, dtype=np.uint64) + np.asarray(offsets, dtype=np.uint64) * _GOLDEN
+
+
 def uniforms(keys, counters):
     """U[0,1) variates addressed by (key, counter); vectorized, stateless."""
     keys = np.asarray(keys, dtype=np.uint64) if not np.isscalar(keys) else np.uint64(keys)

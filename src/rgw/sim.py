@@ -8,6 +8,7 @@ across replicas.  All three engines share one root draw (`_roots`), one
 step rule (`_step`) over cumulative forebear counts with one uniform per
 child, and one law sampler (`_law_index`); the Yule engine advances all
 live replicas by one birth per round (counter layout in `simulate_yule`).
+The step compares uniforms with cuts (`_cuts`), not float quotients.
 """
 from __future__ import annotations
 
@@ -19,13 +20,13 @@ import numpy as np
 
 from .errors import DomainError, NotConverged, PopulationCapExceeded, QuadratureInconsistent
 from .model import ModelParams, check_initial, mean
-from .rng import derive_keys, uniforms
+from .rng import advance, derive_keys, uniforms
 
 _SALT_SPINE = 0x53
 _SALT_POP = 0x61
 _SALT_YULE = 0x79
 
-_SPINE_BATCH = 1 << 18
+_SPINE_BATCH = 1 << 16
 _POP_CELL_BUDGET = 1.5e7
 
 
@@ -76,10 +77,10 @@ def _law_tables(params: ModelParams):
     return support, cum, pos
 
 
-def _law_index(cum, u):
-    """Support index that u in [0, 1) draws: how many of cum[:-1] are <= u,
-    as searchsorted(cum, u, side="right"), by a scan (steps are O(s) anyway)."""
-    idx = np.zeros(np.shape(u), dtype=np.int64)
+def _law_index(cum, u, idx=None):
+    """Support index that u in [0, 1) draws (added to idx if given): how many
+    of cum[:-1] are <= u, as searchsorted(cum, u, side="right"), by a scan."""
+    idx = np.zeros(np.shape(u), dtype=np.int64) if idx is None else idx
     for c in cum[:-1]:
         idx += u >= c
     return idx
@@ -92,26 +93,49 @@ def _roots(keys, initial, support, cum):
     return np.full(np.shape(keys), np.searchsorted(support, initial))
 
 
-def _step(cols, i, u, q, zero, cum):
+def _cuts(a, b, x):
+    """Least u = k * 2**-53 (a value of `uniforms`) with (u - a) / b >= x in
+    floats, per x, else 1.0: rounding is monotone, so u >= cut exactly where
+    the quotient clears x.  The walk starts at the real root a + b x."""
+    k = np.clip(np.ceil((a + b * x) * 2.0**53), 0.0, 2.0**53)
+    while True:
+        down = (k > 0) & (((k - 1) * 2.0**-53 - a) / b >= x)
+        up = (k < 2.0**53) & ((k * 2.0**-53 - a) / b < x)
+        if not (down.any() or up.any()):
+            return k * 2.0**-53
+        k += np.subtract(up, down, dtype=float)
+
+
+def _fresh_cuts(cum, q):
+    """cum in u-space, for clip((u - q) / (1 - q), 0, 1 - 2**-53) at u >= q."""
+    return np.append(_cuts(q, 1.0 - q, cum[:-1]), 1.0)
+
+
+def _step(cols, i, u, q, zero, fresh, tables=None, parent=None):
     """Support index of the next value on lines with i values so far.
 
-    cols[j] counts a line's values among pos[0..j], j < s-1, and
-    pos[j] has support index j + zero.  u < q repeats a uniform earlier
-    value, picked from u/q; otherwise (u-q)/(1-q) draws a fresh one.
+    cols[j] (intp) counts a line's values among pos[0..j], j < s-1, and pos[j]
+    has support index j + zero.  u < q repeats an earlier value, index zero +
+    #{j : u/q >= cols[j]/i}; u >= q, which clears every c/i, draws through
+    `_fresh_cuts`: one small-int count takes both.  A step of over max(i, 2**14)
+    draws caches u-space cuts of c/i in tables[i] (fewer do not repay them).
+    With `parent`, cols counts parents' values; u[k] steps parent[k]'s child.
     """
-    uq = u / q
-    rep = np.full(u.size, zero)
-    for c in cols:
-        rep += uq >= c / i
-    fresh = _law_index(cum, np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0)))
-    return np.where(u < q, rep, fresh)
+    table = None if tables is None else tables.get(i)
+    if table is None and tables is not None and u.size > max(i, 1 << 14):
+        table = tables[i] = _cuts(0.0, q, np.arange(i + 1) / i)
+    x = u / q if table is None else u
+    cuts = [c / i if table is None else np.take(table, c) for c in cols]
+    idx = np.multiply(u < q, zero + len(cols), dtype=np.min_scalar_type(len(fresh)))
+    for c in cuts:
+        idx -= x < (c if parent is None else np.take(c, parent))
+    return _law_index(fresh, u, idx)
 
 
 def _absorb(cols, idx, zero):
     """Add the positive values at support indices idx to their lines' cols."""
-    p = idx - zero
     for j, c in enumerate(cols):
-        c += p <= j
+        c += idx <= j + zero
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +165,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
     value = support.astype(float)
     initial = check_initial(law, initial)
 
+    fresh, tables = _fresh_cuts(cum, q), {}
     samples = np.empty(config.replicas)
     for lo in range(0, config.replicas, _SPINE_BATCH):
         hi = min(lo + _SPINE_BATCH, config.replicas)
@@ -149,7 +174,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
         idx = _roots(keys, initial, support, cum)
         prod = value[idx]
         # cols[j]: how many values drawn so far are among pos[0..j], j < s-1
-        cols = np.zeros((s - 1, hi - lo))
+        cols = np.zeros((s - 1, hi - lo), dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, n + 1):
                 dead = idx < zero
@@ -163,7 +188,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
                 if i == n or slot.size == 0:
                     break
                 _absorb(cols, idx, zero)
-                idx = _step(cols, i, uniforms(keys, i), q, zero, cum)
+                idx = _step(cols, i, uniforms(keys, i), q, zero, fresh, tables)
                 prod = prod * value[idx]
         samples[slot] = prod
     # an overflowed product is inf, and inf * 0 = nan
@@ -195,8 +220,7 @@ class PopulationResult:
         return _estimate_from_samples(self.z[:, gen], self.capped)
 
 
-def _population_batch(params, n, config, initial, lo, hi, support, cum):
-    q = params.q
+def _population_batch(params, n, config, initial, lo, hi, support, cum, fresh, tables):
     b = hi - lo
     zero = int(support[0] == 0)
     s = len(support) - zero
@@ -204,34 +228,33 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum):
     z = np.zeros((b, n + 1))
     z[:, 0] = 1.0
     capped = np.zeros(b, dtype=bool)
-    # individuals are grouped by replica (rep); cols[:, k] counts individual
-    # k's forebear values as in _step.  Each root takes counter 0.
-    rep = np.arange(b)
+    # size[r] individuals in replica r, in order; k's forebears are counted in
+    # cols[:, parent[k]] as in _step (the childless' are never read)
+    size, parent = np.ones(b, dtype=np.int64), np.arange(b)
     idx = _roots(keys, initial, support, cum)
     base = np.ones(b, dtype=np.uint64)
-    cols = np.zeros((s - 1, b))
+    cols = np.zeros((s - 1, b), dtype=np.intp)
     for g in range(1, n + 1):
         cnt = support[idx]
-        z_next = np.bincount(rep, weights=cnt.astype(float), minlength=b)
+        z_next = np.add.reduceat(np.append(cnt, 0), np.cumsum(size) - size) * (size > 0)
         z[:, g] = np.where(capped, np.nan, z_next)
         capped |= z_next > config.population_cap
-        counts_per_rep = np.where(capped, 0, z_next).astype(np.int64)
-        rows = int(counts_per_rep.sum())
+        if capped.any():
+            cnt = np.where(np.repeat(capped, size), 0, cnt)
+        size = np.where(capped, 0, z_next)
+        rows = int(size.sum())
         if g == n or rows == 0:
             z[capped, g + 1:] = np.nan
             break
-        keep = np.flatnonzero(~capped[rep] & (cnt > 0))
-        cols = np.take(cols, keep, axis=1)
-        _absorb(cols, np.take(idx, keep), zero)
-        cols = np.repeat(cols, np.take(cnt, keep), axis=1)
-        rep = np.repeat(np.arange(b), counts_per_rep)
-        starts = np.cumsum(counts_per_rep) - counts_per_rep
-        # individual k of replica r reads counter base[r] + k
-        with np.errstate(over="ignore"):
-            ctr = np.arange(rows, dtype=np.uint64)
-            ctr += np.repeat(base - starts.astype(np.uint64), counts_per_rep)
-            base += counts_per_rep.astype(np.uint64)
-        idx = _step(cols, g, uniforms(np.repeat(keys, counts_per_rep), ctr), q, zero, cum)
+        cols = np.take(cols, parent, axis=1)
+        _absorb(cols, idx, zero)
+        parent = np.repeat(np.arange(cnt.size), cnt)
+        # individual k of replica r reads counter base[r] + k, k from r's start
+        starts = (np.cumsum(size) - size).astype(np.uint64)
+        u = uniforms(np.repeat(advance(keys, base - starts), size),
+                     np.arange(rows, dtype=np.uint64))
+        base += size.astype(np.uint64)
+        idx = _step(cols, g, u, params.q, zero, fresh, tables, parent)
     return z, capped
 
 
@@ -239,12 +262,12 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
                  initial: str | int = "law") -> PopulationResult:
     """Simulate the full reinforced branching population for n generations.
 
-    Each individual carries the count vector of its forebears' values and
-    steps with the lineage rule (`_step`) on one uniform: individual k of
-    replica r (its k-th in generation order) reads counter base + k, where
-    base counts r's individuals in earlier generations; a law-drawn root
-    reads counter 0.  Replicas hitting the population cap are flagged and
-    excluded from estimates rather than silently kept.
+    Each individual reads its forebears' value counts through a pointer to
+    its parent and steps by the lineage rule (`_step`) on one uniform:
+    individual k of replica r (its k-th in generation order) reads counter
+    base + k, where base counts r's individuals in earlier generations; a
+    law-drawn root reads counter 0.  Replicas hitting the population cap are
+    flagged and excluded from estimates rather than silently kept.
     """
     n = int(n)
     if n < 1:
@@ -265,12 +288,13 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
     batch = int(_POP_CELL_BUDGET / ((n + 1) * est_final))
     batch = max(16, min(config.replicas, batch))
 
+    fresh, tables = _fresh_cuts(cum, params.q), {}
     z = np.empty((config.replicas, n + 1))
     capped = np.empty(config.replicas, dtype=bool)
     for lo in range(0, config.replicas, batch):
         hi = min(lo + batch, config.replicas)
         z[lo:hi], capped[lo:hi] = _population_batch(
-            params, n, config, initial, lo, hi, support, cum
+            params, n, config, initial, lo, hi, support, cum, fresh, tables
         )
     return PopulationResult(z=z, capped=capped)
 
@@ -322,6 +346,7 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
     law, q = params.law, params.q
     initial = check_initial(law, initial)
     support, cum, _ = _law_tables(params)
+    fresh = _fresh_cuts(cum, q)
     n = config.replicas
     keys = derive_keys(config.seed, _SALT_YULE, np.arange(n, dtype=np.uint64))
     counts = np.zeros((n, len(support)), dtype=np.int64)
@@ -340,9 +365,9 @@ def simulate_yule(params: ModelParams, t: float, config: SimConfig,
         if live.size == 0:
             break
         now[live] = step[going]
-        # the k living individuals are the child's forebears
+        # the k living individuals are the forebears (a cut table costs O(k))
         cols = counts[live, :-1].cumsum(axis=1).T
-        child = _step(cols, k, uniforms(lkeys, ctr + 1), q, 0, cum)
+        child = _step(cols, k, uniforms(lkeys, ctr + 1), q, 0, fresh)
         counts[live, child] += 1
         k += 1
         if k >= config.population_cap:

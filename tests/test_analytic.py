@@ -13,10 +13,9 @@ from tests.conftest import random_law
 
 # frozen oracle values, computed independently before the build:
 # I(1/2) for law {1:.5, 2:.5}, q=.5 from the antiderivative of
-# sqrt((1-t)(1-2t)) (completing the square), and Gamma(2/3)
+# sqrt((1-t)(1-2t)) (completing the square)
 MIXED_INTEGRAL = 0.29709684498247119
 MIXED_RATE = 0.5 / MIXED_INTEGRAL  # 1.6829529106224611
-GAMMA_TWO_THIRDS = 1.3541179394264005
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +63,21 @@ def test_context_criticality(mixed_params):
 # Pi and its integral
 # ---------------------------------------------------------------------------
 
-def test_pi_weighted_values(binary_params):
+def test_pi_values_and_domain(binary_params):
     ctx = analytic.AnalyticContext(binary_params, analytic.linear_weights(binary_params.law))
-    assert analytic.pi_weighted(ctx, 0.25) == pytest.approx(math.sqrt(0.5), abs=1e-14)
-    assert analytic.pi_weighted(ctx, 0.0) == 1.0
-    assert analytic.pi_weighted(ctx, 0.5) == 0.0
+    assert float(ctx._pi(0.25)) == pytest.approx(math.sqrt(0.5), abs=1e-14)
+    assert float(ctx._pi(0.0)) == 1.0
+    assert float(ctx._pi(0.5)) == 0.0
     with pytest.raises(DomainError):
-        analytic.pi_weighted(ctx, 0.6)
+        analytic.pi_integral(ctx, 0.6)
     with pytest.raises(DomainError):
-        analytic.pi_weighted(ctx, -0.1)
+        analytic.pi_integral(ctx, -0.1)
 
 
 def test_pi_strictly_decreasing(mixed_params):
     ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
     xs = np.linspace(0.0, ctx.x_star, 50)
-    vals = [analytic.pi_weighted(ctx, float(x)) for x in xs]
+    vals = [float(ctx._pi(float(x))) for x in xs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -628,18 +627,3 @@ def test_conditional_limit_mixed(mixed_params):
     assert got == pytest.approx(want, rel=1e-9)
     with pytest.raises(DomainError):
         analytic.conditional_limit_constant(mixed_params, 7)
-
-
-def test_gamma_function_values():
-    assert analytic.gamma_function(1.0) == 1.0
-    assert analytic.gamma_function(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert analytic.gamma_function(2.0 / 3.0) == pytest.approx(GAMMA_TWO_THIRDS, abs=1e-7)
-    assert analytic.gamma_function(5.0) == pytest.approx(24.0, rel=1e-14)
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    for x in (0.25, 0.4, 0.7):
-        lhs = analytic.gamma_function(x) * analytic.gamma_function(1 - x)
-        assert lhs == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-12)
-    with pytest.raises(DomainError):
-        analytic.gamma_function(0.0)
-    with pytest.raises(DomainError):
-        analytic.gamma_function(-1.5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgw import analytic, exact
-from rgw.errors import DomainError, SeriesDiverges, StateExplosion, ZeroPopulationMean
+from rgw.errors import DomainError, SeriesDiverges, StateExplosion
 from rgw.model import ModelParams, new_law
 from tests.conftest import random_law
 
@@ -298,9 +298,14 @@ def test_urn_dp_errors(mixed_params):
 # derived quantities
 # ---------------------------------------------------------------------------
 
+def _reproduction_ratios(table):
+    """E[Z(n+1)] / E[Z(n)] read off a moment table."""
+    return table.scaled[1:] / table.scaled[:-1] * table.scale
+
+
 def test_effective_reproduction_binary(binary_params):
     table = exact.spine_dp(binary_params, 10)
-    ratios = exact.effective_reproduction(table)
+    ratios = _reproduction_ratios(table)
     m = analytic.malthusian_rate(binary_params).m
     assert ratios[0] == pytest.approx(1.0, rel=1e-13)  # E[Z(1)] = 2p
     for r in ratios[1:]:
@@ -309,17 +314,16 @@ def test_effective_reproduction_binary(binary_params):
 
 def test_effective_reproduction_converges(mixed_params):
     table = exact.spine_dp(mixed_params, 40)
-    ratios = exact.effective_reproduction(table)
+    ratios = _reproduction_ratios(table)
     m = analytic.malthusian_rate(mixed_params).m
     assert ratios[1] == pytest.approx(2.375 / 1.5, rel=1e-12)
     assert abs(ratios[-1] - m) < 0.01
 
 
-def test_effective_reproduction_zero_mean():
+def test_spine_dp_from_a_zero_root_is_zero():
     params = ModelParams(new_law({0: 0.5, 2: 0.5}), 0.5)
     table = exact.spine_dp(params, 4, initial=0)
-    with pytest.raises(ZeroPopulationMean):
-        exact.effective_reproduction(table)
+    assert table.values[0] == 1.0 and not table.values[1:].any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from rgw import analytic, exact, sim
 from rgw.errors import DomainError, NotConverged, PopulationCapExceeded, QuadratureInconsistent
 from rgw.model import ModelParams, new_law
-from rgw.rng import derive_keys, uniforms
+from rgw.rng import advance, derive_keys, uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,15 @@ def test_long_arrays_match_short_calls():
     assert grid[1, 2] == uniforms(keys[5], 2)
 
 
+def test_advanced_keys_read_later_counters():
+    keys = derive_keys(3, 5, np.arange(6, dtype=np.uint64))
+    off = np.array([0, 1, 7, 2**63, 2**64 - 1, 12345], dtype=np.uint64)
+    ctr = np.arange(6, dtype=np.uint64) * np.uint64(3)
+    # counters add mod 2**64, so an offset near 2**64 wraps
+    assert np.array_equal(uniforms(advance(keys, off), ctr), uniforms(keys, off + ctr))
+    assert np.array_equal(uniforms(advance(keys[2], 9), 4), uniforms(keys[2], 13))
+
+
 def test_sim_config_validation():
     with pytest.raises(DomainError):
         sim.SimConfig(seed=1, replicas=0)
@@ -81,6 +91,60 @@ def test_law_index_is_searchsorted_right(masses, us):
     # the ends of [0, 1) and every inner cumulative mass, where a tie decides
     u = np.array([0.0, np.nextafter(1.0, 0.0), *cum[:-1], *us])
     assert np.array_equal(sim._law_index(cum, u), np.searchsorted(cum, u, side="right"))
+
+
+def _division_step(cols, i, u, q, zero, cum):
+    """The step rule as float quotients, kept verbatim from before the cuts:
+    u < q repeats (u/q against c/i), else (u-q)/(1-q) draws through cum."""
+    uq = u / q
+    rep = np.full(u.size, zero)
+    for c in cols:
+        rep += uq >= c / i
+    fresh = sim._law_index(cum, np.clip((u - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0)))
+    return np.where(u < q, rep, fresh)
+
+
+_GRID = 2.0**-53
+
+
+@settings(max_examples=50, deadline=None)
+@given(points=st.lists(st.integers(0, 9), min_size=2, max_size=5, unique=True),
+       weights=st.lists(st.integers(1, 10**6), min_size=5, max_size=5),
+       q=st.floats(1e-4, 1 - 1e-4), i=st.integers(1, 10**6), data=st.data())
+def test_cut_step_matches_division_formula(points, weights, q, i, data):
+    points = sorted(points)
+    w = weights[:len(points)]
+    law = new_law({k: v / sum(w) for k, v in zip(points, w)})
+    support, cum, pos = sim._law_tables(ModelParams(law, q))
+    zero = int(support[0] == 0)
+    fresh = sim._fresh_cuts(cum, q)
+    table = sim._cuts(0.0, q, np.arange(i + 1) / i)
+    # each cut is a value of uniforms that passes its quotient, one grid step below fails
+    c = np.arange(i + 1)
+    assert np.all(table / q >= c / i)
+    assert np.all((table[1:] - _GRID) / q < c[1:] / i) and table[0] == 0.0
+    fq = np.clip((fresh[:-1] - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+    bq = np.clip((fresh[:-1] - _GRID - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+    assert np.all((fq >= cum[:-1]) | (fresh[:-1] == 1.0)) and np.all(bq < cum[:-1])
+    assert np.all(np.rint(table / _GRID) * _GRID == table) and np.all(np.diff(table) >= 0)
+
+    # a few parents with cumulative counts over pos[:-1], and children of them
+    lines = data.draw(st.integers(1, 4))
+    counts = data.draw(st.lists(st.lists(st.integers(0, i), min_size=len(pos) - 1,
+                                         max_size=len(pos) - 1),
+                                min_size=lines, max_size=lines))
+    cols = np.sort(np.array(counts, dtype=np.intp).reshape(lines, len(pos) - 1), axis=1).T
+    cuts = [*fresh[:-1], q, *table[cols.ravel()]]
+    u = np.array([x for cut in cuts for x in (cut - _GRID, cut, cut + _GRID) if 0 <= x < 1.0]
+                 + data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20)))
+    u = np.rint(u / _GRID) * _GRID  # values of uniforms lie on the 2**-53 grid
+    u = u[u < 1.0]
+    parent = np.arange(u.size) % lines
+    want = _division_step(cols[:, parent], i, u, q, zero, cum)
+    for tables in ({i: table}, None):
+        got = sim._step(cols, i, u, q, zero, fresh, tables, parent)
+        assert np.array_equal(got, want)
+        assert np.array_equal(sim._step(cols[:, parent], i, u, q, zero, fresh, tables), want)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +465,45 @@ def test_output_does_not_depend_on_batch_size(law, q, n, replicas, seed, spine_b
     assert small_spine == spine
     assert np.array_equal(small_pop.z, pop.z, equal_nan=True)
     assert np.array_equal(small_pop.capped, pop.capped)
+
+
+def _draw_fingerprint(law, q, n, t, initial, cap):
+    """sha256 over one spine estimate, one population run (z and capped) and
+    one Yule run (counts and capped), each at a fixed seed."""
+    params = ModelParams(new_law(law), q)
+    h = hashlib.sha256()
+    spine = sim.simulate_spine(params, n, sim.SimConfig(seed=31, replicas=70_000),
+                               initial=initial)
+    h.update(np.array([spine.mean, spine.std_error]).tobytes())
+    pop = sim.simulate_rgw(params, n, sim.SimConfig(seed=31, replicas=300, population_cap=cap),
+                           initial=initial)
+    h.update(pop.z.tobytes())
+    h.update(pop.capped.tobytes())
+    yule = sim.simulate_yule(params, t, sim.SimConfig(seed=31, replicas=200, population_cap=cap),
+                             initial=initial)
+    h.update(yule.counts.tobytes())
+    h.update(yule.capped.tobytes())
+    return h.hexdigest()
+
+
+# Recorded before the division-free step; a change to any draw of any engine
+# must show here rather than by chance in verify's Monte Carlo checks.
+@pytest.mark.parametrize("law, q, n, t, initial, cap, digest", [
+    ({0: 0.4, 2: 0.6}, 0.5, 12, 1.5, 2, 10**6,
+     "0cd744f44e8085e3fa023693457db90f24ef0097db7b7b39357d6d9fd4fbe362"),
+    ({0: 0.3, 1: 0.2, 3: 0.5}, 0.6, 8, 1.5, "law", 10**6,
+     "ac62019fd52d9960b4319e514647e6489db13441ab7310e1ff7fc623e7a638a6"),
+    ({1: 0.2, 2: 0.5, 4: 0.3}, 0.7, 6, 2.0, "law", 10**6,
+     "3c40e2470ca7b574f3221549e9606f00d51dce8e48cb5056982a922df5496189"),
+    ({0: 0.1, 1: 0.2, 2: 0.3, 5: 0.4}, 0.3, 7, 1.2, 2, 10**6,
+     "4167140bc907472fc45fd1df8ce95a3894974b85c414997aefe0d2e391392807"),
+    ({1: 0.05, 3: 0.95}, 0.8, 10, 4.0, "law", 200,
+     "46e70664bb024ccffc7403d6be7de76399c01023b5fd8a70af1d9715303e72e8"),
+    ({0: 0.6, 1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1}, 0.05, 9, 2.5, 4, 10**6,
+     "56d78c66697ab3524a795bff2b5d0b9ca2d537ce13e5125eb907349ced1f7e57"),
+])
+def test_draws_match_recorded_fingerprints(law, q, n, t, initial, cap, digest):
+    assert _draw_fingerprint(law, q, n, t, initial, cap) == digest
 
 
 # ---------------------------------------------------------------------------
