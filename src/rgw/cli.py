@@ -22,6 +22,8 @@ from . import analytic, exact, ode, sim, verify
 from .errors import RgwError
 from .model import ModelParams, load_params, params_to_dict, parse_law, parse_pairs
 
+_DEFAULT_CAP = sim.SimConfig.population_cap
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract reserves 2 for
@@ -49,6 +51,8 @@ def _jsonify(obj):
         return _round12(x) if math.isfinite(x) else repr(x)
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 
@@ -169,6 +173,8 @@ def _cmd_simulate(args) -> int:
     cfg = _base_config(params, n=args.n, seed=args.seed, replicas=args.replicas,
                        cap=args.cap, initial=args.initial, engine=args.engine)
     if args.engine == "spine":
+        if args.cap != _DEFAULT_CAP:
+            raise RgwError("the spine engine never caps; --cap applies to the population engine")
         if args.format == "csv":
             raise RgwError("the spine engine emits an estimate; use --format json")
         est = sim.simulate_spine(params, args.n, config, initial=initial)
@@ -191,6 +197,8 @@ def _cmd_yule(args) -> int:
         raise RgwError("--c and --ell must be given together")
     if args.c is not None and args.format == "csv":
         raise RgwError("the functional estimate is JSON only; use --format json")
+    if args.c is not None and args.initial != "law":
+        raise RgwError("the functional starts from --ell; --initial does not apply with --c")
     params = _resolve_params(args)
     config = sim.SimConfig(seed=args.seed, replicas=args.replicas,
                            population_cap=args.cap)
@@ -343,7 +351,7 @@ def build_parser() -> _Parser:
         if need_sim:
             p.add_argument("--replicas", type=int, default=10000)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--cap", type=int, default=10**6)
+            p.add_argument("--cap", type=int, default=_DEFAULT_CAP)
             p.add_argument("--initial", default="law",
                            help='"law" or a support point (measure P vs P_ell)')
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotConverged, PopulationCapExceeded, QuadratureInconsistent
-from .model import ModelParams, check_initial, mean
+from .errors import DomainError, PopulationCapExceeded
+from .model import ModelParams, check_initial
 from .rng import advance, derive_keys, uniforms
 
 _SALT_SPINE = 0x53
@@ -27,7 +27,11 @@ _SALT_POP = 0x61
 _SALT_YULE = 0x79
 
 _SPINE_BATCH = 1 << 16
-_POP_CELL_BUDGET = 1.5e7
+# a population batch holds at most _POP_GROWTH times the replicas of the last,
+# and about _POP_CELL_BUDGET individuals in its widest generation (its replicas
+# times the widest mean generation per replica of the batches before it)
+_POP_CELL_BUDGET = 2**17
+_POP_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,8 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
     individual k of replica r (its k-th in generation order) reads counter
     base + k, where base counts r's individuals in earlier generations; a
     law-drawn root reads counter 0.  Replicas hitting the population cap are
-    flagged and excluded from estimates rather than silently kept.
+    flagged and excluded from estimates rather than silently kept.  The
+    first batch holds 16 replicas; later ones follow `_POP_CELL_BUDGET`.
     """
     n = int(n)
     if n < 1:
@@ -275,27 +280,19 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
     initial = check_initial(params.law, initial)
     support, cum, _ = _law_tables(params)
 
-    from .analytic import malthusian_rate
-
-    try:
-        m = malthusian_rate(params).m
-    except (NotConverged, QuadratureInconsistent):
-        # the upper domination bound, tight as q -> 0; draws do not depend on batch size
-        m = params.law.kstar * params.q + (1.0 - params.q) * mean(params.law)
-    cap = config.population_cap
-    # m ** n overflows a float at deep horizons, so compare in log space first
-    est_final = min(cap, 4.0 * m ** n + 4.0) if n * math.log(m) < math.log(cap) else cap
-    batch = int(_POP_CELL_BUDGET / ((n + 1) * est_final))
-    batch = max(16, min(config.replicas, batch))
-
     fresh, tables = _fresh_cuts(cum, params.q), {}
     z = np.empty((config.replicas, n + 1))
     capped = np.empty(config.replicas, dtype=bool)
-    for lo in range(0, config.replicas, batch):
+    lo, batch, widest = 0, 16, 0.0
+    while lo < config.replicas:
         hi = min(lo + batch, config.replicas)
         z[lo:hi], capped[lo:hi] = _population_batch(
             params, n, config, initial, lo, hi, support, cum, fresh, tables
         )
+        # nansum skips the NaN past a cap
+        widest = max(widest, np.nansum(z[lo:hi], axis=0).max() / (hi - lo))
+        batch = max(16, min(_POP_GROWTH * batch, int(_POP_CELL_BUDGET / widest)))
+        lo = hi
     return PopulationResult(z=z, capped=capped)
 
 

@@ -278,6 +278,15 @@ def check_phi_decay(seed: int) -> CheckResult:
 # Monte Carlo suite (criteria 10-12)
 # ---------------------------------------------------------------------------
 
+def _sigmas(est: sim.Estimate, exact_value: float) -> float:
+    """How many standard errors est.mean lies off exact_value.  With zero
+    spread a mean off the exact value is infinitely many, and one on it none."""
+    miss = abs(est.mean - exact_value)
+    if est.std_error == 0:
+        return math.inf if miss else 0.0
+    return float(miss / est.std_error)
+
+
 def check_mc_consistency(seed: int) -> CheckResult:
     t0 = time.perf_counter()
     worst_sigma = 0.0
@@ -289,14 +298,14 @@ def check_mc_consistency(seed: int) -> CheckResult:
         est = sim.simulate_spine(
             params, 20, sim.SimConfig(seed=seed + 101 * idx, replicas=10**6)
         )
-        worst_sigma = max(worst_sigma, abs(est.mean - ez20) / est.std_error)
+        worst_sigma = max(worst_sigma, _sigmas(est, ez20))
 
         ez10 = dp.scaled[10] * scale**10
         pop = sim.simulate_rgw(
             params, 10, sim.SimConfig(seed=seed + 101 * idx + 13, replicas=10**5)
         )
         pest = pop.estimate(10)
-        worst_sigma = max(worst_sigma, abs(pest.mean - ez10) / pest.std_error)
+        worst_sigma = max(worst_sigma, _sigmas(pest, ez10))
     elapsed = time.perf_counter() - t0
     passed = worst_sigma <= 4.0 and elapsed < 60.0
     return CheckResult("c10", "monte-carlo-vs-dp-panel", passed,

@@ -15,6 +15,9 @@ import pytest
 from rgw import cli
 
 SEED = 42
+# the report digest at SEED; a change that moves a draw or a report line on
+# purpose updates it and records the new value and why
+DIGEST = "188c27af9f159bfacdfc6ccd3451be44cd036f3b529c12ff384d6f1f4ca278ee"
 
 
 def _run_verify_all() -> tuple[int, str]:
@@ -125,6 +128,10 @@ def test_c15_determinism(report):
         f"two byte-identical reports ({digest})\n"
     )
     assert identical
+
+
+def test_report_digest_is_pinned(report):
+    assert report["text"].strip().splitlines()[-1] == f"report-digest sha256={DIGEST}"
 
 
 def test_all_criteria_reported(report):

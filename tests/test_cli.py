@@ -8,9 +8,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from rgw import analytic, cli, ode, verify
+from rgw import analytic, cli, ode, sim, verify
 from rgw.errors import DomainError
 
 
@@ -146,6 +147,35 @@ def test_verify_json_report():
     assert {r["id"] for r in doc["results"]} == {"c01", "c02", "c03", "c04", "c05"}
 
 
+def test_verify_json_reports_a_numpy_failure(monkeypatch):
+    # c08 and c09 compare numpy floats, so a failing gate is np.False_
+    def failing(seed):
+        return verify.CheckResult("c01", "fake", np.False_, "detail")
+
+    monkeypatch.setitem(verify.SUITES, "rates", (failing,))
+    code, out, err = run_cli_err(["verify", "--suite", "rates", "--seed", "42",
+                                  "--format", "json"])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["passed"] is False and doc["results"][0]["passed"] is False
+    assert '"passed": false' in out
+
+
+def test_mc_check_with_zero_spread_is_an_infinite_deviation(monkeypatch):
+    # no spine lineage survives: the mean is 0 with zero spread, an infinite
+    # miss, and the check says so without a division warning
+    monkeypatch.setattr(sim, "simulate_spine",
+                        lambda params, n, config: sim.Estimate(0.0, 0.0, config.replicas, 0.0))
+    real = sim.simulate_rgw
+    monkeypatch.setattr(sim, "simulate_rgw", lambda params, n, config: real(
+        params, n, sim.SimConfig(seed=config.seed, replicas=200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = verify.check_mc_consistency(702)
+    assert res.passed is False
+    assert res.detail == "worst_deviation=inf sigma over 6 configurations"
+
+
 def test_usage_errors_exit_one():
     code, _, err = run_cli_err(["rate", "--law", "1:0.5,2:0.5"])  # missing --q
     assert code == 1 and "error" in err
@@ -195,6 +225,10 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
      "--seed", "-1"],
     ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--replicas", "100",
      "--seed", "18446744073709551616"],
+    ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "1", "--c", "0.3", "--ell", "2",
+     "--initial", "1"],
+    ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--engine", "spine",
+     "--cap", "5"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
@@ -294,8 +328,8 @@ def test_law_file_bad_map_exits_one(law, tmp_path):
 
 
 def test_population_runs_where_the_rate_quadrature_fails():
-    # malthusian_rate raises NotConverged at this q; batch sizing falls back to
-    # the upper bound, and the spine engine never needed the rate
+    # malthusian_rate raises NotConverged at this q; batches are sized from
+    # the measured generation widths, and neither engine needs the rate
     argv = ["simulate", "--law", "1:0.5,2:0.5", "--q", "3e-7", "--n", "5", "--replicas", "100"]
     code, out, err = run_cli_err(argv)
     assert code == 0 and err == ""
@@ -356,6 +390,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(rgw.cli.main(["simulate", "--engine", "spine", *law, "--n", "3",
                                "--replicas", "20"]))
     codes.append(rgw.cli.main(["yule", *law, "--t", "0.3", "--replicas", "20"]))
+    codes.append(rgw.cli.main(["simulate", *law, "--n", "3", "--replicas", "20"]))
     seen["monte_carlo"] = scipy_modules()
     codes.append(rgw.cli.main(["rate", *law]))
     seen["rate"] = scipy_modules()
@@ -371,7 +406,7 @@ def test_only_the_callers_of_scipy_load_it():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["codes"] == [0, 0, 0]
+    assert seen["codes"] == [0, 0, 0, 0]
     assert seen["import"] == [] and seen["monte_carlo"] == []
     assert "scipy.special" in seen["rate"]
     assert "scipy.integrate" not in seen["rate"]

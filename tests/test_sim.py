@@ -322,7 +322,7 @@ def test_rgw_population_cap():
 
 @pytest.mark.parametrize("error", [NotConverged, QuadratureInconsistent])
 @pytest.mark.parametrize("law, n, cap", [
-    # m = 2.228 and its upper bound 2.28 give batches of 22 and 19 replicas
+    # batches are sized from measured widths, so a failing rate changes nothing
     ({0: 0.2, 1: 0.3, 3: 0.5}, 5, 10**6),
     # about half the replicas hit the cap
     ({0: 0.2, 1: 0.3, 6: 0.5}, 4, 200),
@@ -340,6 +340,39 @@ def test_rgw_sizes_batches_without_the_rate(error, law, n, cap, monkeypatch):
     got = sim.simulate_rgw(params, n, cfg)
     assert np.array_equal(got.z, want.z, equal_nan=True)
     assert np.array_equal(got.capped, want.capped)
+
+
+def test_rgw_batches_follow_the_widest_generation(monkeypatch):
+    # about half the replicas pass the cap of 40, so generation 5 (about 22
+    # individuals per replica) is wider than the last, and a budget of 3000
+    # holds the batches near 125 replicas after 16 and 64
+    params = ModelParams(new_law({0: 0.2, 1: 0.3, 3: 0.5}), 0.4)
+    cfg = sim.SimConfig(seed=5, replicas=600, population_cap=40)
+    budget = 3000.0
+    monkeypatch.setattr(sim, "_POP_CELL_BUDGET", budget)
+    sizes, widths = [], []
+    real = sim._population_batch
+
+    def spy(*args):
+        z, capped = real(*args)
+        lo, hi = args[4], args[5]
+        sizes.append(hi - lo)
+        widths.append(np.nansum(z, axis=0).max() / (hi - lo))
+        return z, capped
+
+    monkeypatch.setattr(sim, "_population_batch", spy)
+    res = sim.simulate_rgw(params, 6, cfg)
+    assert res.capped.any() and sum(sizes) == 600
+    assert sizes[0] == 16
+    grow = sim._POP_GROWTH
+    limits = [max(16, min(grow * sizes[k - 1], int(budget / max(widths[:k]))))
+              for k in range(1, len(sizes))]
+    assert all(b <= grow * a for a, b in zip(sizes, sizes[1:]))
+    # each batch takes its whole limit, but the last may hold fewer
+    assert sizes[1:-1] == limits[:-1] and sizes[-1] <= limits[-1]
+    # the growth binds first, then the budget
+    assert sizes[1] == grow * 16
+    assert any(lim < grow * a for a, lim in zip(sizes, limits))
 
 
 def test_rgw_all_capped_raises():
