@@ -146,15 +146,9 @@ def _cmd_rate(args) -> int:
 
 def _cmd_moments(args) -> int:
     params = _resolve_params(args)
-    initial = _parse_initial(args.initial)
-    if args.method == "urn":
-        if initial != "law":
-            raise RgwError("the urn method computes the law-initial measure only")
-        table = exact.urn_dp(params, args.n)
-    else:
-        table = exact.spine_dp(params, args.n, initial=initial)
+    table = exact.spine_dp(params, args.n, initial=_parse_initial(args.initial))
     config = _base_config(params, n=args.n, initial=args.initial,
-                          method=args.method, scale=_round12(table.scale))
+                          scale=_round12(table.scale))
     header = ("n", "EZ", "scaled")
     rows = zip(range(len(table.scaled)), table.values.tolist(), table.scaled.tolist())
     if args.format == "csv":
@@ -287,6 +281,8 @@ def _cmd_ode_check(args) -> int:
 def _cmd_asymptotics(args) -> int:
     if args.format == "csv":
         raise RgwError("asymptotics is JSON only; use --format json")
+    if args.n is not None and args.n < 8:
+        raise RgwError(f"--n must be at least 8, the first trend point, got {args.n}")
     params = _resolve_params(args)
     prof = analytic.malthusian_rate(params)
     gam = analytic.gamma_constant(params)
@@ -359,11 +355,10 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("moments", help="exact E[Z(n)] tables (two DP routes)")
+    p = sub.add_parser("moments", help="exact E[Z(n)] tables from the generating function")
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--initial", default="law")
-    p.add_argument("--method", choices=("spine", "urn"), default="spine")
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("simulate", help="Monte Carlo population / lineage runs")

@@ -1,15 +1,14 @@
-"""Exact expected population sizes via two independent dynamic programs.
+"""Exact expected population sizes via two independent routes.
 
-spine_dp follows the single-lineage chain (zeta_1, ..., zeta_n), whose
-running count vector is a sufficient statistic: the next value equals a
-past value with probability q * (its count)/n and a fresh draw otherwise.
+spine_dp reads E[Z(n)] off the Taylor coefficients of the paper's
+closed-form generating function, the one mgf_vector evaluates at a point.
 urn_dp evolves the block-size partition of a reinforced urn and combines
 blocks through the law's power moments.  The two routes share no code and
 serve as mutual oracles.
 
 Values grow like m^n, so tables store E[Z(n)] * scale^-n for a caller
-supplied scale (default: the computed Malthusian rate); the scaled weights
-stay O(1) through the recursion.
+supplied scale (default: the computed Malthusian rate); the scaled
+coefficients stay O(1) through the recursion.
 """
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import DomainError, SeriesDiverges, StateExplosion
 from .model import ModelParams, check_initial
 
+# bounds spine_dp's s x n_max coefficient table of 1/(1 - a_j y)
 _STATE_CAP = 10**7
 _URN_N_CAP = 60
 _SERIES_TAIL_TOL = 1e-10
@@ -53,52 +53,51 @@ def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale"
     return scale
 
 
-def _rank(counts: np.ndarray, n: int, binom: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each column of counts among the compositions of n: a
-    part c of a rest r with k parts after it skips binom[k, r] - binom[k, r - c]."""
-    rank, r = np.zeros(counts.shape[1], dtype=np.int64), np.full(counts.shape[1], n)
-    for i, c in enumerate(counts[:-1]):
-        k = len(counts) - 1 - i
-        rank += binom[k, r] - binom[k, r - c]
-        r -= c
-    return rank
-
-
 def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
              scale: float | None = None) -> MomentTable:
-    """Exact E[Z(n)] (or E_ell[Z(n)]) from the lineage-chain recursion.
+    """Exact E[Z(n)] (or E_ell[Z(n)]) as Taylor coefficients of the paper's
+    closed-form generating function.
 
-    Generation n holds one column per count composition of n over the
-    positive support and the weight of the histories reaching it (0 if none
-    do).  np.bincount adds a composition's terms from its predecessors
-    c - e_0 < c - e_1 < ... in lexicographic order from 0.0, and math.fsum
-    rounds each generation exactly, so sums are bit-reproducible.
+    With a_j = j/scale over the positive support, y = I_a^-1(q x),
+    P = 1/Pi_a(y) and w_j = 1/(1 - a_j y), the series
+    sum_{n>=1} scale^-n E_ell[Z(n)] x^(n-1) is a_ell P w_ell, and its nu
+    mixture is P g with g = sum_j nu(j) a_j w_j (put x = 1 - e^-t in
+    mgf_vector's M_ell).  From y' = q P, Pi_a(y)' = -(1-q) g, P Pi_a(y) = 1
+    and w_j (1 - a_j y) = 1, each coefficient is a sum of nonnegative terms,
+    so nothing cancels.  Each sum is an elementwise product and .sum(), never
+    BLAS, so the tables do not depend on the BLAS build.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     law, q = params.law, params.q
     initial = check_initial(law, initial)
-    pos = np.array(law.positive_support, dtype=float)
-    s = len(pos)
-    n_states = math.comb(n_max + s - 1, s - 1)
-    if n_states > _STATE_CAP:
-        raise StateExplosion(f"{n_states} composition states exceed cap {_STATE_CAP}")
+    pos = law.positive_support
+    if len(pos) * n_max > _STATE_CAP:
+        raise StateExplosion(f"{len(pos)} x {n_max} series coefficients exceed cap {_STATE_CAP}")
     scale = _resolve_scale(params, scale)
 
-    probs = np.array([law.mass(int(j)) for j in pos])
-    counts = step = np.eye(s, dtype=np.int64)
-    binom = np.array([[math.comb(m + k, k) for m in range(n_max + 1)] for k in range(s)])
-    w = (probs if initial == "law" else pos == initial) * pos / scale
     scaled = np.zeros(n_max + 1)
-    scaled[0], scaled[1] = 1.0, math.fsum(w.tolist())
-    for n in range(1, n_max):
-        inc = w * (q / n * counts + (1.0 - q) * probs[:, None]) * pos[:, None] / scale
-        nxt = (counts[:, None, :] + step[:, :, None]).reshape(s, -1)  # part-major successors
-        idx = _rank(nxt, n + 1, binom)
-        w = np.bincount(idx, weights=inc.ravel())
-        counts = np.empty((s, len(w)), dtype=np.int64)
-        counts[:, idx] = nxt
-        scaled[n + 1] = math.fsum(w.tolist())
+    scaled[0] = 1.0
+    if initial == 0:
+        return MomentTable(scaled, scale)
+    a = np.array(pos, dtype=float) / scale
+    nu_a = np.array([law.mass(j) for j in pos]) * a
+    # index k holds the x^k coefficient of y, of d = -Pi_a(y) (from k = 1),
+    # of P and g, and of w_j in row j of w
+    y, d, P, g = np.zeros(n_max + 1), np.zeros(n_max + 1), np.zeros(n_max), np.zeros(n_max)
+    w = np.zeros((len(pos), n_max))
+    P[0] = w[:, 0] = 1.0
+    out = g if initial == "law" else w[pos.index(initial)]
+    for k in range(n_max):
+        if k:
+            P[k] = (d[1:k + 1] * P[k - 1::-1]).sum()
+            w[:, k] = a * (y[1:k + 1] * w[:, k - 1::-1]).sum(axis=1)
+        g[k] = (nu_a * w[:, k]).sum()
+        y[k + 1] = q * P[k] / (k + 1)
+        d[k + 1] = (1.0 - q) * g[k] / (k + 1)
+        scaled[k + 1] = (P[:k + 1] * out[k::-1]).sum()
+    if initial != "law":
+        scaled[1:] *= a[pos.index(initial)]
     return MomentTable(scaled, scale)
 
 

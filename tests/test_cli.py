@@ -61,16 +61,6 @@ def test_moments_csv_binary_constant_scaled_column():
         assert abs(s - 2 / 3) < 1e-9
 
 
-def test_moments_urn_matches_spine():
-    _, out_a = run_cli(["moments", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "8"])
-    _, out_b = run_cli(["moments", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "8",
-                        "--method", "urn"])
-    ma = json.loads(out_a)["moments"]
-    mb = json.loads(out_b)["moments"]
-    for ra, rb in zip(ma, mb):
-        assert ra["EZ"] == pytest.approx(rb["EZ"], rel=1e-9)
-
-
 def test_simulate_spine_estimate():
     code, out = run_cli(["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5",
                          "--n", "5", "--engine", "spine", "--replicas", "2000",
@@ -229,6 +219,7 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
      "--initial", "1"],
     ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--engine", "spine",
      "--cap", "5"],
+    ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "4"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)

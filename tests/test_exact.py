@@ -159,22 +159,34 @@ def test_spine_dp_errors(mixed_params):
     for initial in (5, "foo", 2.7, True):
         with pytest.raises(DomainError):
             exact.spine_dp(mixed_params, 3, initial=initial)
-    wide = ModelParams(new_law({k: 1 / 8 for k in range(1, 9)}), 0.5)
+    # two positive support points: one past the 2 x n_max coefficient bound
     with pytest.raises(StateExplosion):
-        exact.spine_dp(wide, 120)
+        exact.spine_dp(mixed_params, exact._STATE_CAP // 2 + 1)
     for scale in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             exact.spine_dp(mixed_params, 3, scale=scale)
 
 
+def test_spine_dp_eight_point_law_mixture_identity():
+    # 8 positive support points to n = 120: 960 series coefficients, though
+    # the lineage has C(127, 7) (about 6e10) count compositions
+    law = new_law({k: 1 / 8 for k in range(1, 9)})
+    params = ModelParams(law, 0.5)
+    table = exact.spine_dp(params, 120)
+    mix = sum(law.mass(ell) * exact.spine_dp(params, 120, initial=ell, scale=table.scale).scaled
+              for ell in law.support)
+    assert np.all(table.scaled[1:] > 0)
+    np.testing.assert_allclose(mix, table.scaled, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
-# the composition lattice against a dict of composition tuples
+# the generating-function series against the lineage chain over a dict
 # ---------------------------------------------------------------------------
 
 def dict_spine_dp(params, n_max, initial, scale):
     """Reference: the lineage-chain recursion over a dict keyed by count
     tuples, visited in sorted order, each term a Python float product.
-    spine_dp must reproduce its tables bit for bit."""
+    spine_dp, which shares no step with it, must agree to rel 1e-13."""
     law, q = params.law, params.q
     pos = law.positive_support
     s = len(pos)
@@ -219,16 +231,18 @@ def test_spine_dp_bitwise_matches_dict_panel(n_pos, zero, n):
     scale = analytic.malthusian_rate(params).m
     for initial in ("law", *law.support):
         got = exact.spine_dp(params, n, initial=initial, scale=scale).scaled
-        assert np.array_equal(got, dict_spine_dp(params, n, initial, scale)), initial
+        np.testing.assert_allclose(got, dict_spine_dp(params, n, initial, scale),
+                                   rtol=1e-13, atol=0, err_msg=str(initial))
 
 
 def test_spine_dp_bitwise_matches_dict_long_table(mixed_params):
     scale = analytic.malthusian_rate(mixed_params).m
     got = exact.spine_dp(mixed_params, 1024, scale=scale).scaled
-    assert np.array_equal(got, dict_spine_dp(mixed_params, 1024, "law", scale))
+    np.testing.assert_allclose(got, dict_spine_dp(mixed_params, 1024, "law", scale),
+                               rtol=1e-13, atol=0)
 
 
-_lattice_laws = st.tuples(
+_spine_laws = st.tuples(
     st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True), st.booleans(),
 ).filter(lambda t: len(t[0]) + t[1] >= 2).flatmap(
     lambda t: st.lists(st.integers(1, 9), min_size=len(t[0]) + t[1],
@@ -237,13 +251,13 @@ _lattice_laws = st.tuples(
 
 
 @settings(max_examples=40, deadline=None)
-@given(law=_lattice_laws, q=st.floats(0.05, 0.95), n=st.integers(1, 30), data=st.data())
+@given(law=_spine_laws, q=st.floats(0.05, 0.95), n=st.integers(1, 30), data=st.data())
 def test_spine_dp_bitwise_matches_dict_property(law, q, n, data):
     n = min(n, {1: 30, 2: 30, 3: 30, 4: 24, 5: 18}[len(law.positive_support)])
     initial = data.draw(st.sampled_from(("law", *law.support)))
     params = ModelParams(law, q)
     got = exact.spine_dp(params, n, initial=initial, scale=2.5).scaled
-    assert np.array_equal(got, dict_spine_dp(params, n, initial, 2.5))
+    np.testing.assert_allclose(got, dict_spine_dp(params, n, initial, 2.5), rtol=1e-13, atol=0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgw import analytic, exact, sim
-from rgw.errors import DomainError, NotConverged, PopulationCapExceeded, QuadratureInconsistent
+from rgw import exact, sim
+from rgw.errors import DomainError, PopulationCapExceeded
 from rgw.model import ModelParams, new_law
 from rgw.rng import advance, derive_keys, uniforms
 
@@ -318,28 +318,6 @@ def test_rgw_population_cap():
     est = res.estimate(12)
     assert est.capped_fraction > 0
     assert est.replicas_used == 50 - res.capped.sum()
-
-
-@pytest.mark.parametrize("error", [NotConverged, QuadratureInconsistent])
-@pytest.mark.parametrize("law, n, cap", [
-    # batches are sized from measured widths, so a failing rate changes nothing
-    ({0: 0.2, 1: 0.3, 3: 0.5}, 5, 10**6),
-    # about half the replicas hit the cap
-    ({0: 0.2, 1: 0.3, 6: 0.5}, 4, 200),
-])
-def test_rgw_sizes_batches_without_the_rate(error, law, n, cap, monkeypatch):
-    params = ModelParams(new_law(law), 0.4)
-    cfg = sim.SimConfig(seed=5, replicas=200, population_cap=cap)
-    monkeypatch.setattr(sim, "_POP_CELL_BUDGET", 3e4)
-    want = sim.simulate_rgw(params, n, cfg)
-
-    def broken(params):
-        raise error("no rate")
-
-    monkeypatch.setattr(analytic, "malthusian_rate", broken)
-    got = sim.simulate_rgw(params, n, cfg)
-    assert np.array_equal(got.z, want.z, equal_nan=True)
-    assert np.array_equal(got.capped, want.capped)
 
 
 def test_rgw_batches_follow_the_widest_generation(monkeypatch):
