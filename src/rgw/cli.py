@@ -283,6 +283,8 @@ def _cmd_asymptotics(args) -> int:
         raise RgwError("asymptotics is JSON only; use --format json")
     if args.n is not None and args.n < 8:
         raise RgwError(f"--n must be at least 8, the first trend point, got {args.n}")
+    if args.n is not None and args.ell == 0:
+        raise RgwError("--ell 0 has no trend: from a root with no children E[Z(n)] = 0")
     params = _resolve_params(args)
     prof = analytic.malthusian_rate(params)
     gam = analytic.gamma_constant(params)

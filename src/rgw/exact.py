@@ -2,9 +2,9 @@
 
 spine_dp reads E[Z(n)] off the Taylor coefficients of the paper's
 closed-form generating function, the one mgf_vector evaluates at a point.
-urn_dp evolves the block-size partition of a reinforced urn and combines
-blocks through the law's power moments.  The two routes share no code and
-serve as mutual oracles.
+urn_dp evolves the block-size partition of a reinforced urn over a ranked
+lattice of integer partitions and combines blocks through the law's power
+moments.  The two routes share no code and serve as mutual oracles.
 
 Values grow like m^n, so tables store E[Z(n)] * scale^-n for a caller
 supplied scale (default: the computed Malthusian rate); the scaled
@@ -13,6 +13,7 @@ coefficients stay O(1) through the recursion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,12 @@ import numpy as np
 from .errors import DomainError, SeriesDiverges, StateExplosion
 from .model import ModelParams, check_initial
 
-# bounds spine_dp's s x n_max coefficient table of 1/(1 - a_j y)
-_STATE_CAP = 10**7
+# bounds spine_dp's work, s x n_max^2 multiply-adds for s positive support
+# points: at the cap a table takes 0.6-2.3 s (s = 1..16, 2-core host)
+_STATE_CAP = 10**9
 _URN_N_CAP = 60
+# rows x parts per block of urn_dp's rank temporaries
+_URN_BLOCK = 1 << 16
 _SERIES_TAIL_TOL = 1e-10
 
 
@@ -39,6 +43,20 @@ class MomentTable:
         n = np.arange(len(self.scaled), dtype=float)
         with np.errstate(over="ignore"):
             return self.scaled * self.scale**n
+
+
+def _check_length(value, what: str) -> int:
+    """A table length: an integer >= 1 by operator.index; a bool, a float
+    or anything else raises DomainError."""
+    if not isinstance(value, bool):
+        try:
+            length = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if length >= 1:
+                return length
+    raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale") -> float:
@@ -67,13 +85,13 @@ def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
     so nothing cancels.  Each sum is an elementwise product and .sum(), never
     BLAS, so the tables do not depend on the BLAS build.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_length(n_max, "n_max")
     law, q = params.law, params.q
     initial = check_initial(law, initial)
     pos = law.positive_support
-    if len(pos) * n_max > _STATE_CAP:
-        raise StateExplosion(f"{len(pos)} x {n_max} series coefficients exceed cap {_STATE_CAP}")
+    if len(pos) * n_max**2 > _STATE_CAP:
+        raise StateExplosion(
+            f"{len(pos)} x {n_max}^2 series multiply-adds exceed cap {_STATE_CAP}")
     scale = _resolve_scale(params, scale)
 
     scaled = np.zeros(n_max + 1)
@@ -101,15 +119,36 @@ def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
     return MomentTable(scaled, scale)
 
 
+def _partitions_below(size: int) -> np.ndarray:
+    """below[r, k]: the partitions of r into parts < k for r, k < size, with
+    below[:, 0] = 0 so that a zero (padding) part ranks nothing."""
+    at_most = [[1] + [0] * (size - 1)]  # at_most[j][r]: parts <= j
+    for j in range(1, size - 1):
+        row = at_most[-1][:]
+        for r in range(j, size):
+            row[r] += row[r - j]
+        at_most.append(row)
+    return np.array([[0] * size] + at_most, dtype=np.int32).T.copy()
+
+
 def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> MomentTable:
     """Exact E[Z(n)] from the urn coupling: E prod_k m_nu(N_k(n)).
 
     The urn state is the partition of block sizes; a size-s block grows
     with probability q s / n and a new singleton appears with probability
     1 - q.  Valid under the law-initial measure only.
+
+    Level n holds every partition of n as an int8 row of descending parts,
+    zero padded, in ascending tuple order.  With r_i = n - sum_{j<i} lam_j,
+    a row's rank is sum_i below[r_i, lam_i], so each move's target rank is
+    read off prefix and suffix sums of the row, and one np.bincount per
+    level merges the moves in the order a dict keyed by sorted partitions
+    would add them.  Each weight and each moment product (left to right,
+    carried from the parent row) takes the same float operations as that
+    dict loop, and the level sum is math.fsum, so tables are bit-identical
+    to it.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_length(n_max, "n_max")
     if n_max > _URN_N_CAP:
         raise StateExplosion(f"urn partitions beyond n={_URN_N_CAP} are not tabulated")
     law, q = params.law, params.q
@@ -122,27 +161,76 @@ def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> Momen
     scaled = np.zeros(n_max + 1)
     scaled[0] = 1.0
     scaled[1] = mom[1]
-    dist: dict[tuple[int, ...], float] = {(1,): 1.0}
+    dim = n_max + 2
+    below = _partitions_below(dim)
+    flat = below.ravel()
+    rows = np.ones((1, 1), dtype=np.int8)
+    nparts = np.ones(1, dtype=np.int8)
+    dist = np.ones(1)
+    # prod of mom over a row's parts: all but the last (head), and all (full)
+    head, full = np.ones(1), mom[1:2].copy()
     for n in range(1, n_max):
-        new: dict[tuple[int, ...], float] = {}
-        for part, p in sorted(dist.items()):
-            i = 0
-            while i < len(part):
-                size = part[i]
-                count = 1
-                while i + count < len(part) and part[i + count] == size:
-                    count += 1
-                grown = tuple(sorted(part[:i] + (size + 1,) + part[i + count:] +
-                                     (size,) * (count - 1), reverse=True))
-                inc = p * q * size * count / n
-                new[grown] = new.get(grown, 0.0) + inc
-                i += count
-            fresh = tuple(sorted(part + (1,), reverse=True))
-            new[fresh] = new.get(fresh, 0.0) + p * (1.0 - q)
-        dist = new
-        scaled[n + 1] = math.fsum(
-            p * math.prod(mom[sz] for sz in part) for part, p in sorted(dist.items())
-        )
+        n_next = int(below[n + 1, n + 2])
+        # one move per distinct part and one fresh singleton per row; the
+        # partitions of n with part j number p(n - j), so sum_{k<=n} p(k)
+        n_moves = int(below[np.arange(n + 1), np.arange(1, n + 2)].sum())
+        target = np.empty(n_moves, dtype=np.intp)  # bincount's index type
+        weight = np.empty(n_moves)
+        rows_next = np.zeros((n_next, n + 1), dtype=np.int8)
+        nparts_next = np.empty(n_next, dtype=np.int8)
+        head_next, full_next = np.empty(n_next), np.empty(n_next)
+        done, step = 0, _URN_BLOCK // n
+        for lo in range(0, len(rows), step):
+            hi = lo + step
+            parts = nparts[lo:hi]
+            width = int(parts.max())
+            lam = rows[lo:hi, :width]
+            # flat[cell] = below[r_i, lam_i]; ranks fit int32 as p(61) < 2^31
+            cell = (lam - np.cumsum(lam, axis=1, dtype=np.int32) + n) * dim + lam
+            up = np.cumsum(flat[cell + dim], axis=1, dtype=np.int32)
+            own = np.cumsum(flat[cell], axis=1, dtype=np.int32)
+            fresh = up[:, -1]
+            # grow the first of each run of equal parts, runs in row order
+            first = lam > 0
+            first[:, 1:] &= lam[:, 1:] != lam[:, :-1]
+            k, i = np.nonzero(first)
+            at = k * width + i
+            part = lam.ravel()[at]
+            ends = np.cumsum(first.sum(axis=1))
+            run_end = np.empty_like(i)
+            run_end[:-1] = i[1:]
+            run_end[ends - 1] = parts
+            count = run_end - i
+            # growing part i adds one to r_j for j <= i: parts before i rank
+            # by up, part i by below[r_i + 1, lam_i + 1], the rest by own
+            c = cell.ravel()[at]
+            grow = (up.ravel()[at] - flat[c + dim] + flat[c + dim + 1]
+                    + own[k, -1] - own.ravel()[at])
+            # each row's grows, then its fresh singleton
+            slot = done + np.arange(len(k)) + k
+            target[slot] = grow
+            weight[slot] = dist[lo:hi][k] * q * part * count / n
+            slot = done + ends + np.arange(len(lam))
+            target[slot] = fresh
+            weight[slot] = dist[lo:hi] * (1.0 - q)
+            done += len(k) + len(lam)
+            # level n + 1, each partition once: a fresh singleton appended
+            # to any row, or a row's unique last part grown
+            rows_next[fresh, :width] = lam
+            rows_next[fresh, parts] = 1
+            nparts_next[fresh] = parts + 1
+            head_next[fresh] = full[lo:hi]
+            full_next[fresh] = full[lo:hi] * mom[1]
+            src = np.flatnonzero(count[ends - 1] == 1)
+            dst = grow[ends - 1][src]
+            rows_next[dst, :width] = lam[src]
+            rows_next[dst, parts[src] - 1] += 1
+            nparts_next[dst] = parts[src]
+            head_next[dst] = head[lo:hi][src]
+            full_next[dst] = head[lo:hi][src] * mom[part[ends - 1][src] + 1]
+        dist = np.bincount(target, weight, minlength=n_next)
+        rows, nparts, head, full = rows_next, nparts_next, head_next, full_next
+        scaled[n + 1] = math.fsum((dist * full).tolist())
     return MomentTable(scaled, scale)
 
 
@@ -159,8 +247,7 @@ def yule_functional_series(params: ModelParams, ell: int, c: float, t: float,
         raise DomainError(f"time must be >= 0, got {t!r}")
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"weight factor must be finite and positive, got {c!r}")
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
+    n_terms = _check_length(n_terms, "n_terms")
     mhat = _resolve_scale(params, rate, "rate")
     x = -math.expm1(-t)  # 1 - e^-t
     r = c * x * mhat

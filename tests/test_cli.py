@@ -220,6 +220,8 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--engine", "spine",
      "--cap", "5"],
     ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "4"],
+    ["asymptotics", "--law", "0:0.5,2:0.5", "--q", "0.5", "--ell", "0", "--n", "16"],
+    ["moments", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "4000000"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)

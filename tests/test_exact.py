@@ -159,9 +159,9 @@ def test_spine_dp_errors(mixed_params):
     for initial in (5, "foo", 2.7, True):
         with pytest.raises(DomainError):
             exact.spine_dp(mixed_params, 3, initial=initial)
-    # two positive support points: one past the 2 x n_max coefficient bound
+    # two positive support points: one past the 2 x n_max^2 work bound
     with pytest.raises(StateExplosion):
-        exact.spine_dp(mixed_params, exact._STATE_CAP // 2 + 1)
+        exact.spine_dp(mixed_params, math.isqrt(exact._STATE_CAP // 2) + 1)
     for scale in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             exact.spine_dp(mixed_params, 3, scale=scale)
@@ -306,6 +306,80 @@ def test_urn_dp_errors(mixed_params):
     for scale in (0.0, math.nan):
         with pytest.raises(DomainError):
             exact.urn_dp(mixed_params, 3, scale=scale)
+
+
+def test_table_lengths_must_be_integers(mixed_params):
+    for n_max in (2.5, True, "3", None):
+        with pytest.raises(DomainError):
+            exact.spine_dp(mixed_params, n_max)
+        with pytest.raises(DomainError):
+            exact.urn_dp(mixed_params, n_max)
+        with pytest.raises(DomainError):
+            exact.yule_functional_series(mixed_params, 2, 0.3, 0.5, n_terms=n_max)
+    for table in (exact.spine_dp, exact.urn_dp):
+        assert np.array_equal(table(mixed_params, np.int64(5)).scaled,
+                              table(mixed_params, 5).scaled)
+
+
+# ---------------------------------------------------------------------------
+# the partition lattice against the urn over a dict
+# ---------------------------------------------------------------------------
+
+def dict_urn_dp(params, n_max, scale):
+    """Reference: the urn's block-size partitions as a dict keyed by
+    descending tuples, visited in sorted order, each term a Python float
+    product.  urn_dp must equal it bit for bit."""
+    law, q = params.law, params.q
+    pos = np.array(law.positive_support, dtype=float)
+    pr = np.array([law.mass(int(j)) for j in pos])
+    mom = np.array([np.dot(pr, (pos / scale) ** k) for k in range(n_max + 1)])
+    scaled = np.zeros(n_max + 1)
+    scaled[0] = 1.0
+    scaled[1] = mom[1]
+    dist = {(1,): 1.0}
+    for n in range(1, n_max):
+        new = {}
+        for part, p in sorted(dist.items()):
+            i = 0
+            while i < len(part):
+                size = part[i]
+                count = 1
+                while i + count < len(part) and part[i + count] == size:
+                    count += 1
+                grown = tuple(sorted(part[:i] + (size + 1,) + part[i + count:] +
+                                     (size,) * (count - 1), reverse=True))
+                inc = p * q * size * count / n
+                new[grown] = new.get(grown, 0.0) + inc
+                i += count
+            fresh = tuple(sorted(part + (1,), reverse=True))
+            new[fresh] = new.get(fresh, 0.0) + p * (1.0 - q)
+        dist = new
+        scaled[n + 1] = math.fsum(
+            p * math.prod(mom[sz] for sz in part) for part, p in sorted(dist.items())
+        )
+    return scaled
+
+
+_urn_laws = st.lists(st.integers(0, 9), min_size=2, max_size=6, unique=True).filter(
+    lambda pts: max(pts) > 0).flatmap(
+    lambda pts: st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)).map(
+        lambda w: new_law({k: v / sum(w) for k, v in zip(pts, w)})))
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_urn_laws, q=st.floats(0.02, 0.98), n=st.integers(1, 26),
+       scale=st.one_of(st.none(), st.floats(0.5, 6.0)))
+def test_urn_dp_bitwise_matches_dict_property(law, q, n, scale):
+    params = ModelParams(law, q)
+    table = exact.urn_dp(params, n, scale=scale)
+    assert np.array_equal(table.scaled, dict_urn_dp(params, n, table.scale))
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_urn_dp_bitwise_matches_dict_deep(n):
+    params = ModelParams(new_law({0: 0.1, 1: 0.3, 2: 0.25, 3: 0.2, 5: 0.15}), 0.45)
+    table = exact.urn_dp(params, n)
+    assert np.array_equal(table.scaled, dict_urn_dp(params, n, table.scale))
 
 
 # ---------------------------------------------------------------------------
