@@ -245,8 +245,7 @@ def _cmd_ode_check(args) -> int:
     t_hi = args.t if args.t is not None else (0.9 * rho if math.isfinite(rho) else 4.0)
     if t_hi >= rho:
         raise RgwError(f"--t must be below the explosion time {rho:.6g}")
-    if args.format != "csv":
-        analytic.flow(ctx, t_hi)  # the closed form needs a flow point at the user's t
+    analytic.flow(ctx, t_hi)  # the closed form needs a flow point at the user's t
     cfg = _base_config(params, t_max=_round12(t_hi), rel_tol=args.rel_tol,
                        weights={str(j): _round12(a[j]) for j in a.support})
     ts = np.linspace(0.0, t_hi, 33)

@@ -13,13 +13,12 @@ coefficients stay O(1) through the recursion.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SeriesDiverges, StateExplosion
-from .model import ModelParams, check_initial
+from .model import ModelParams, check_initial, check_integer
 
 # bounds spine_dp's work, s x n_max^2 multiply-adds for s positive support
 # points: at the cap a table takes 0.6-2.3 s (s = 1..16, 2-core host)
@@ -45,21 +44,7 @@ class MomentTable:
             return self.scaled * self.scale**n
 
 
-def _check_length(value, what: str) -> int:
-    """A table length: an integer >= 1 by operator.index; a bool, a float
-    or anything else raises DomainError."""
-    if not isinstance(value, bool):
-        try:
-            length = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if length >= 1:
-                return length
-    raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
-
-
-def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale") -> float:
+def _resolve_scale(params: ModelParams, scale: float | None) -> float:
     """The caller's scale, which must be finite and positive, or the
     computed Malthusian rate."""
     if scale is None:
@@ -67,7 +52,7 @@ def _resolve_scale(params: ModelParams, scale: float | None, what: str = "scale"
 
         return malthusian_rate(params).m
     if not (math.isfinite(scale) and scale > 0):
-        raise DomainError(f"{what} must be finite and positive, got {scale!r}")
+        raise DomainError(f"scale must be finite and positive, got {scale!r}")
     return scale
 
 
@@ -85,7 +70,7 @@ def spine_dp(params: ModelParams, n_max: int, initial: str | int = "law",
     so nothing cancels.  Each sum is an elementwise product and .sum(), never
     BLAS, so the tables do not depend on the BLAS build.
     """
-    n_max = _check_length(n_max, "n_max")
+    n_max = check_integer(n_max, "n_max must be an integer >= 1, got {!r}")
     law, q = params.law, params.q
     initial = check_initial(law, initial)
     pos = law.positive_support
@@ -148,7 +133,7 @@ def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> Momen
     dict loop, and the level sum is math.fsum, so tables are bit-identical
     to it.
     """
-    n_max = _check_length(n_max, "n_max")
+    n_max = check_integer(n_max, "n_max must be an integer >= 1, got {!r}")
     if n_max > _URN_N_CAP:
         raise StateExplosion(f"urn partitions beyond n={_URN_N_CAP} are not tabulated")
     law, q = params.law, params.q
@@ -235,7 +220,7 @@ def urn_dp(params: ModelParams, n_max: int, scale: float | None = None) -> Momen
 
 
 def yule_functional_series(params: ModelParams, ell: int, c: float, t: float,
-                           n_terms: int, rate: float | None = None) -> float:
+                           n_terms: int) -> float:
     """Series e^-t sum_n (1-e^-t)^(n-1) c^n E_ell[Z(n)], truncated with a
     certified geometric tail bound below 1e-10.
 
@@ -247,8 +232,8 @@ def yule_functional_series(params: ModelParams, ell: int, c: float, t: float,
         raise DomainError(f"time must be >= 0, got {t!r}")
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"weight factor must be finite and positive, got {c!r}")
-    n_terms = _check_length(n_terms, "n_terms")
-    mhat = _resolve_scale(params, rate, "rate")
+    n_terms = check_integer(n_terms, "n_terms must be an integer >= 1, got {!r}")
+    mhat = _resolve_scale(params, None)
     x = -math.expm1(-t)  # 1 - e^-t
     r = c * x * mhat
     if r >= 1.0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -127,6 +128,21 @@ def check_initial(law: ReproductionLaw, initial) -> str | int:
             and int(initial) in law.masses):
         return int(initial)
     raise DomainError(f'initial must be "law" or a support point, got {initial!r}')
+
+
+def check_integer(value, message: str, low: int = 1, high: int | None = None) -> int:
+    """value by operator.index, when low <= value (and value < high, if
+    given); a bool, a float or anything else, or a value out of range,
+    raises DomainError(message.format(value)), so message shows it as {!r}."""
+    if not isinstance(value, bool):
+        try:
+            index = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low <= index and (high is None or index < high):
+                return index
+    raise DomainError(message.format(value))
 
 
 def mean(law: ReproductionLaw) -> float:

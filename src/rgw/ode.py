@@ -24,6 +24,9 @@ from .model import ModelParams
 BLOWUP_NORM = 1e8
 # solve_ivp lifts any rtol below this to it, with a warning
 _REL_TOL_FLOOR = 100 * np.finfo(float).eps
+# a fall in M_ell / M_j of at most this times max(1, |ratio|) between grid
+# points still counts as nondecreasing
+_RATIO_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -166,10 +169,9 @@ def pde_residual_G(params: ModelParams, a: WeightVector, t_grid, s_grid,
     return float(np.max(np.abs(residual)))
 
 
-def ratio_monotonicity_check(solution: OdeSolution, j: int, ell: int,
-                             slack: float = 1e-9) -> bool:
+def ratio_monotonicity_check(solution: OdeSolution, j: int, ell: int) -> bool:
     """True iff t -> M_ell / M_j is nondecreasing along the solution grid
-    (within slack).  Requires a_j <= a_ell with both weights positive."""
+    (within _RATIO_SLACK).  Requires a_j <= a_ell with both weights positive."""
     a = solution.a
     if j not in a.weights or ell not in a.weights:
         raise DomainError("both indices must be support points")
@@ -179,5 +181,5 @@ def ratio_monotonicity_check(solution: OdeSolution, j: int, ell: int,
         raise DomainError(f"need a_j <= a_ell, got a_{j}={a[j]!r} > a_{ell}={a[ell]!r}")
     ratio = solution.column(ell) / solution.column(j)
     diffs = np.diff(ratio)
-    tol = slack * np.maximum(1.0, np.abs(ratio[:-1]))
+    tol = _RATIO_SLACK * np.maximum(1.0, np.abs(ratio[:-1]))
     return bool(np.all(diffs >= -tol))

@@ -31,10 +31,7 @@ def _mix64(x: np.ndarray | np.uint64):
 
 def derive_keys(seed: int, salt: int, replicas: np.ndarray | int) -> np.ndarray | np.uint64:
     """Independent stream key per (seed, salt, replica)."""
-    if np.isscalar(replicas) or isinstance(replicas, (int, np.integer)):
-        rep = np.uint64(int(replicas) & _U64_MASK)
-    else:
-        rep = np.asarray(replicas).astype(np.uint64)
+    rep = np.asarray(replicas).astype(np.uint64)
     with np.errstate(over="ignore"):
         base = _mix64(np.uint64(seed & _U64_MASK) ^ (np.uint64(salt & _U64_MASK) * _GOLDEN))
         return _mix64(base + _mix64(rep * _GOLDEN + np.uint64(1)))
@@ -49,12 +46,8 @@ def advance(keys, offsets):
 
 def uniforms(keys, counters):
     """U[0,1) variates addressed by (key, counter); vectorized, stateless."""
-    keys = np.asarray(keys, dtype=np.uint64) if not np.isscalar(keys) else np.uint64(keys)
-    counters = (
-        np.asarray(counters).astype(np.uint64, copy=False)
-        if not np.isscalar(counters)
-        else np.uint64(int(counters))
-    )
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = np.asarray(counters).astype(np.uint64, copy=False)
     with np.errstate(over="ignore"):
         x = _mix64(keys + counters * _GOLDEN)
     x >>= np.uint64(11)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PopulationCapExceeded
-from .model import ModelParams, check_initial
+from .model import ModelParams, check_initial, check_integer
 from .rng import advance, derive_keys, uniforms
 
 _SALT_SPINE = 0x53
@@ -43,12 +43,13 @@ class SimConfig:
     population_cap: int = 10**6
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
-        if self.replicas < 1:
-            raise DomainError(f"replicas must be >= 1, got {self.replicas}")
-        if self.population_cap < 1:
-            raise DomainError(f"population_cap must be >= 1, got {self.population_cap}")
+        # frozen: the checked ints replace the given values
+        object.__setattr__(self, "seed", check_integer(
+            self.seed, "seed must satisfy 0 <= seed < 2**64, got {!r}", 0, 2**64))
+        object.__setattr__(self, "replicas", check_integer(
+            self.replicas, "replicas must be >= 1, got {!r}"))
+        object.__setattr__(self, "population_cap", check_integer(
+            self.population_cap, "population_cap must be >= 1, got {!r}"))
 
 
 @dataclass(frozen=True)
@@ -115,24 +116,23 @@ def _fresh_cuts(cum, q):
     return np.append(_cuts(q, 1.0 - q, cum[:-1]), 1.0)
 
 
-def _step(cols, i, u, q, zero, fresh, tables=None, parent=None):
+def _step(cols, i, u, q, zero, fresh, tables=None):
     """Support index of the next value on lines with i values so far.
 
     cols[j] (intp) counts a line's values among pos[0..j], j < s-1, and pos[j]
-    has support index j + zero.  u < q repeats an earlier value, index zero +
-    #{j : u/q >= cols[j]/i}; u >= q, which clears every c/i, draws through
-    `_fresh_cuts`: one small-int count takes both.  A step of over max(i, 2**14)
-    draws caches u-space cuts of c/i in tables[i] (fewer do not repay them).
-    With `parent`, cols counts parents' values; u[k] steps parent[k]'s child.
+    has support index j + zero; cols[:, k] is u[k]'s line.  u < q repeats an
+    earlier value, index zero + #{j : u/q >= cols[j]/i}; u >= q, which clears
+    every c/i, draws through `_fresh_cuts`: one small-int count takes both.  A
+    step of over max(i, 2**14) draws caches u-space cuts of c/i in tables[i]
+    (fewer do not repay them).
     """
     table = None if tables is None else tables.get(i)
     if table is None and tables is not None and u.size > max(i, 1 << 14):
         table = tables[i] = _cuts(0.0, q, np.arange(i + 1) / i)
     x = u / q if table is None else u
-    cuts = [c / i if table is None else np.take(table, c) for c in cols]
     idx = np.multiply(u < q, zero + len(cols), dtype=np.min_scalar_type(len(fresh)))
-    for c in cuts:
-        idx -= x < (c if parent is None else np.take(c, parent))
+    for c in cols:
+        idx -= x < (c / i if table is None else np.take(table, c))
     return _law_index(fresh, u, idx)
 
 
@@ -159,9 +159,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
     uniform earlier value.  Raises DomainError if a product, or the sum or
     spread of the products, overflows float64.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = check_integer(n, "n must be >= 1, got {!r}")
     law, q = params.law, params.q
     support, cum, pos = _law_tables(params)
     s = len(pos)
@@ -232,33 +230,33 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum, fresh, t
     z = np.zeros((b, n + 1))
     z[:, 0] = 1.0
     capped = np.zeros(b, dtype=bool)
-    # size[r] individuals in replica r, in order; k's forebears are counted in
-    # cols[:, parent[k]] as in _step (the childless' are never read)
-    size, parent = np.ones(b, dtype=np.int64), np.arange(b)
+    # individual k belongs to replica rep[k], in order, and cols[:, k] counts
+    # its forebears' values as in _step
+    rep = np.arange(b)
     idx = _roots(keys, initial, support, cum)
     base = np.ones(b, dtype=np.uint64)
     cols = np.zeros((s - 1, b), dtype=np.intp)
     for g in range(1, n + 1):
         cnt = support[idx]
-        z_next = np.add.reduceat(np.append(cnt, 0), np.cumsum(size) - size) * (size > 0)
-        z[:, g] = np.where(capped, np.nan, z_next)
-        capped |= z_next > config.population_cap
+        size = np.bincount(rep, cnt, minlength=b).astype(np.uint64)
+        z[:, g] = np.where(capped, np.nan, size)
+        capped |= size > config.population_cap
         if capped.any():
-            cnt = np.where(np.repeat(capped, size), 0, cnt)
-        size = np.where(capped, 0, z_next)
-        rows = int(size.sum())
-        if g == n or rows == 0:
+            cnt[capped[rep]] = 0
+            size[capped] = 0
+        if g == n or not size.any():
             z[capped, g + 1:] = np.nan
             break
-        cols = np.take(cols, parent, axis=1)
         _absorb(cols, idx, zero)
         parent = np.repeat(np.arange(cnt.size), cnt)
-        # individual k of replica r reads counter base[r] + k, k from r's start
-        starts = (np.cumsum(size) - size).astype(np.uint64)
-        u = uniforms(np.repeat(advance(keys, base - starts), size),
-                     np.arange(rows, dtype=np.uint64))
-        base += size.astype(np.uint64)
-        idx = _step(cols, g, u, params.q, zero, fresh, tables, parent)
+        cols, rep = np.take(cols, parent, axis=1), np.take(rep, parent)
+        del parent  # one R-long array fewer while the uniforms are drawn
+        # child k of replica r reads counter base[r] + k - start[r]
+        start = np.cumsum(size) - size
+        u = uniforms(np.take(advance(keys, base - start), rep),
+                     np.arange(rep.size, dtype=np.uint64))
+        base += size
+        idx = _step(cols, g, u, params.q, zero, fresh, tables)
     return z, capped
 
 
@@ -266,17 +264,16 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
                  initial: str | int = "law") -> PopulationResult:
     """Simulate the full reinforced branching population for n generations.
 
-    Each individual reads its forebears' value counts through a pointer to
-    its parent and steps by the lineage rule (`_step`) on one uniform:
+    Each individual carries its replica index and its forebears' value
+    counts, both copied from its parent's, and steps by the lineage rule
+    (`_step`) on one uniform:
     individual k of replica r (its k-th in generation order) reads counter
     base + k, where base counts r's individuals in earlier generations; a
     law-drawn root reads counter 0.  Replicas hitting the population cap are
     flagged and excluded from estimates rather than silently kept.  The
     first batch holds 16 replicas; later ones follow `_POP_CELL_BUDGET`.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = check_integer(n, "n must be >= 1, got {!r}")
     initial = check_initial(params.law, initial)
     support, cum, _ = _law_tables(params)
 

@@ -222,6 +222,9 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "4"],
     ["asymptotics", "--law", "0:0.5,2:0.5", "--q", "0.5", "--ell", "0", "--n", "16"],
     ["moments", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "4000000"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.98", "--format", "csv", "--t", "1e300"],
+    ["ode-check", "--law", "0:0.5,2:0.5", "--q", "0.999999", "--format", "csv", "--c", "1e300",
+     "--rel-tol", "1e-12"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)

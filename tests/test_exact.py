@@ -457,5 +457,3 @@ def test_series_tail_precondition(mixed_params):
             exact.yule_functional_series(mixed_params, 2, c, 0.5, n_terms=40)
     with pytest.raises(DomainError):
         exact.yule_functional_series(mixed_params, 2, 0.3, math.nan, n_terms=40)
-    with pytest.raises(DomainError):
-        exact.yule_functional_series(mixed_params, 2, 0.3, 0.5, n_terms=40, rate=math.nan)

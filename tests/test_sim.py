@@ -69,6 +69,23 @@ def test_sim_config_validation():
         with pytest.raises(DomainError):
             sim.SimConfig(seed=seed, replicas=10)
     assert sim.SimConfig(seed=2**64 - 1, replicas=10).seed == 2**64 - 1
+    # each field is read by operator.index: a float or a bool is no integer
+    for bad in ({"seed": 1.5}, {"seed": True}, {"replicas": 2.5}, {"replicas": True},
+                {"population_cap": 2.5}, {"population_cap": True}):
+        with pytest.raises(DomainError):
+            sim.SimConfig(**{"seed": 1, "replicas": 10, **bad})
+    cfg = sim.SimConfig(seed=np.uint64(7), replicas=np.int64(3), population_cap=np.int32(9))
+    assert (cfg.seed, cfg.replicas, cfg.population_cap) == (7, 3, 9)
+    assert all(type(v) is int for v in (cfg.seed, cfg.replicas, cfg.population_cap))
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, "3"])
+def test_engines_reject_bad_depth(mixed_params, n):
+    config = sim.SimConfig(seed=1, replicas=10)
+    with pytest.raises(DomainError):
+        sim.simulate_spine(mixed_params, n, config)
+    with pytest.raises(DomainError):
+        sim.simulate_rgw(mixed_params, n, config)
 
 
 @pytest.mark.parametrize("initial", [5, "foo", 2.7, True])
@@ -142,8 +159,6 @@ def test_cut_step_matches_division_formula(points, weights, q, i, data):
     parent = np.arange(u.size) % lines
     want = _division_step(cols[:, parent], i, u, q, zero, cum)
     for tables in ({i: table}, None):
-        got = sim._step(cols, i, u, q, zero, fresh, tables, parent)
-        assert np.array_equal(got, want)
         assert np.array_equal(sim._step(cols[:, parent], i, u, q, zero, fresh, tables), want)
 
 
@@ -453,6 +468,20 @@ _small_laws = st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True).f
         lambda w: {k: v / sum(w) for k, v in zip(sorted(pts), w)}
     )
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_small_laws, q=st.floats(0.05, 0.95), n=st.integers(1, 8),
+       replicas=st.integers(1, 40), seed=st.integers(0, 2**64 - 1),
+       cap=st.sampled_from([3, 10**6]), data=st.data())
+def test_rgw_matches_per_individual_history_on_any_law(law, q, n, replicas, seed, cap, data):
+    params = ModelParams(new_law(law), q)
+    initial = data.draw(st.sampled_from(["law", *sorted(law)]))
+    cfg = sim.SimConfig(seed=seed, replicas=replicas, population_cap=cap)
+    res = sim.simulate_rgw(params, n, cfg, initial=initial)
+    z, capped = _population_reference(params, n, cfg, initial)
+    assert np.array_equal(res.z, z, equal_nan=True)
+    assert np.array_equal(res.capped, capped)
 
 
 @settings(max_examples=30, deadline=None)
