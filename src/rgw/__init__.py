@@ -19,9 +19,6 @@ from .analytic import (
     mgf_vector,
     phi,
     phi_limit,
-    pi_integral,
-    pi_integral_inverse,
-    rate_limits,
     weights_from_map,
 )
 from .exact import (

@@ -15,9 +15,12 @@ integral of Pi_a goes through one adaptive panel rule (no QUADPACK): each
 panel is computed at Gauss orders 20 and 40 and halved until the two agree.
 The panel touching x* carries (1 - x a_max)^E in a Gauss-Jacobi weight
 (E <= 50), which restores spectral accuracy there; every other panel is
-Gauss-Legendre.  One bracketed Newton helper inverts I_a and its tail, and
-an iteration that does not settle raises NotConverged.  gamma needs no
-second rule: A'' = phi A' gives it from one flow point per horizon.
+Gauss-Legendre.  The rule runs in one frame, the distance s from x*: it
+integrates Pi_a over [x* - s, x*] (the tail), i_a is the tail of width x*,
+and I_a(x) = i_a - tail(x* - x).  One bracketed Newton iteration, on log
+tail against log s, inverts the tail; one that does not settle raises
+NotConverged.  gamma needs no second rule: A'' = phi A' gives it from one
+flow point per horizon.
 """
 from __future__ import annotations
 
@@ -65,28 +68,6 @@ def _gauss(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
     rules = [roots_jacobi(n, alpha, 0.0) for n in _ORDERS]
     return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
-
-
-def _newton(fun, deriv, target: float, x: float, hi: float) -> float:
-    """Solve fun(x) = target for increasing fun on [0, hi] by Newton steps
-    kept inside the shrinking bracket, bisecting where a step leaves it."""
-    lo = 0.0
-    for _ in range(_NEWTON_MAX_ITER):
-        f = fun(x) - target
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) <= 2e-14 * target:
-            return x
-        d = deriv(x)
-        new = x - f / d if d > 0 else 0.5 * (lo + hi)
-        if not (lo < new < hi):
-            new = 0.5 * (lo + hi)
-        if abs(new - x) <= 1e-16 * x:
-            return new
-        x = new
-    raise NotConverged(f"Newton unsettled after {_NEWTON_MAX_ITER} iterations (target {target!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +181,23 @@ class AnalyticContext:
         y = np.asarray(y, dtype=float)[..., None]
         return np.prod((1.0 - y * self._rest_w) ** self._rest_e, axis=-1)
 
-    def _pi(self, y):
-        base = np.maximum(1.0 - np.asarray(y, dtype=float) * self.a.amax, 0.0)
-        return self._smooth(y) * base**self._E
-
     def _pi_from_sigma(self, sigma: float) -> float:
         """Pi_a(x* - sigma) without forming 1 - x*a_max (cancellation-free)."""
         return float(self._smooth(self.x_star - sigma)) * (self.a.amax * sigma) ** self._E
 
-    def _integral(self, width: float, tail: bool = True) -> float:
-        """integral_0^width of Pi_a(x* - s) ds (tail: s is the distance from
-        x*, so tiny tails keep their relative accuracy) or of Pi_a(s) ds.
+    def _integral(self, width: float) -> float:
+        """The tail integral_0^width of Pi_a(x* - s) ds, in the distance s
+        from x*, so that tiny tails keep their relative accuracy; i_a is the
+        tail of width x*, and I_a(x) = i_a - tail(x* - x).
 
         Every pending panel is computed at orders 20 and 40 in one pass; a
         panel whose two values agree to _PANEL_TOL of the running total is
-        accepted and every other one is halved.  In the tail frame the panel
-        at s = 0 takes (a_max s)^E into a Gauss-Jacobi weight while
-        E <= _GJ_MAX_EXPONENT; every other panel is Gauss-Legendre.
+        accepted and every other one is halved.  The panel at s = 0 takes
+        (a_max s)^E into a Gauss-Jacobi weight while E <= _GJ_MAX_EXPONENT;
+        every other panel is Gauss-Legendre.
         """
         amax, E = self.a.amax, self._E
-        jacobi = tail and E <= _GJ_MAX_EXPONENT
+        jacobi = E <= _GJ_MAX_EXPONENT
         leg_u, leg_w = _gauss(0.0)
         jac_u, jac_w = _gauss(E) if jacobi else (leg_u, leg_w)
         lo, hi = np.zeros(1), np.array([float(width)])
@@ -232,10 +210,7 @@ class AnalyticContext:
             half = 0.5 * (hi - lo)[:, None]
             sing = (lo == 0.0)[:, None] & jacobi
             s = lo[:, None] + half * (1.0 - np.where(sing, jac_u, leg_u))
-            if tail:
-                f = self._smooth(self.x_star - s) * (amax * np.where(sing, half, s)) ** E
-            else:
-                f = self._pi(s)
+            f = self._smooth(self.x_star - s) * (amax * np.where(sing, half, s)) ** E
             fw = half * f * np.where(sing, jac_w, leg_w)
             low, high = fw[:, :_ORDERS[0]].sum(axis=1), fw[:, _ORDERS[0]:].sum(axis=1)
             if not np.all(np.isfinite(high)):
@@ -250,68 +225,56 @@ class AnalyticContext:
         return math.fsum(done)
 
     def _inverse_tail(self, eps: float) -> float:
-        """Solve tail(x* - sigma) = eps for sigma.
+        """Solve tail(sigma) = eps for sigma by Newton steps on log tail
+        against log sigma (slope sigma Pi_a / tail), kept inside the
+        shrinking bracket [0, x*] and bisecting where a step leaves it.
 
-        The tail behaves like C sigma^(E+1) near 0, so the power-law guess
-        (in logs: a_max^E may overflow; x* if the smooth factor underflows)
-        lands within a few Newton steps at any scale.
+        The tail behaves like C sigma^(E+1) near 0, a line in these logs, so
+        the power-law guess (in logs: a_max^E may overflow) lands within a
+        few steps at any scale.  The guess is clamped to x* (and is x* if
+        the smooth factor underflows), from which steps in sigma would crawl.
+        A tail that does not settle raises NotConverged.
         """
         if eps <= 0.0:
             return 0.0
         if eps >= self.i_total:
             return self.x_star
         E, g0 = self._E, float(self._smooth(self.x_star))
-        sigma = self.x_star
+        lo, hi, sigma = 0.0, self.x_star, self.x_star
         if g0 > 0:
             log_sigma = (math.log(eps) + math.log1p(E) - math.log(g0)
                          - E * math.log(self.a.amax)) / (E + 1.0)
             sigma = min(math.exp(min(log_sigma, math.log(sigma))), sigma)
-        return _newton(self._integral, self._pi_from_sigma, eps, sigma, self.x_star)
+        last = 0.0
+        for _ in range(_NEWTON_MAX_ITER):
+            tail = self._integral(sigma)
+            if tail > eps:
+                hi = sigma
+            else:
+                lo = sigma
+            # a tail equal to the last one is one the panel rule cannot
+            # resolve further (its panel products go subnormal near 1e-300)
+            if abs(tail - eps) <= 2e-14 * eps or (tail == last and tail > 0.0):
+                return sigma
+            last = tail
+            # log(eps / tail): a difference of logs near -700 keeps only 1e-13
+            slope = sigma * self._pi_from_sigma(sigma) / tail if tail > 0 else 0.0
+            ratio = eps / tail if slope > 0 else 0.0
+            step = math.log(ratio) / slope if ratio > 0 else math.inf
+            new = sigma * math.exp(step) if step < 1.0 else hi
+            if not (lo < new < hi):
+                new = 0.5 * (lo + hi)
+            if abs(new - sigma) <= 1e-16 * sigma:
+                return new
+            sigma = new
+        raise NotConverged(f"Newton unsettled after {_NEWTON_MAX_ITER} iterations "
+                           f"(target {eps!r})")
 
     @property
     def explosion_time(self) -> float:
         if self.i_total >= self.params.q - EXPLOSION_TOL:
             return math.inf
         return -math.log1p(-self.i_total / self.params.q)
-
-
-# ---------------------------------------------------------------------------
-# Pi_a, I_a and the inverse
-# ---------------------------------------------------------------------------
-
-def _check_in_domain(ctx: AnalyticContext, x: float) -> float:
-    slack = 4e-16 * ctx.x_star
-    if not (-slack <= x <= ctx.x_star + slack):
-        raise DomainError(f"x={x!r} outside [0, {ctx.x_star!r}]")
-    return min(max(x, 0.0), ctx.x_star)
-
-
-def pi_integral(ctx: AnalyticContext, x: float) -> float:
-    """I_a(x) = integral_0^x Pi_a(y) dy, relative error <= 1e-11.
-
-    Below x*/2 the panel rule runs in y from 0 (capped at i_a, which it
-    can pass by rounding when I_a saturates); above, I_a(x) is i_a minus
-    the tail, which the rule computes in the distance from x*.
-    """
-    x = _check_in_domain(ctx, x)
-    if x < 0.5 * ctx.x_star:
-        return min(ctx._integral(x, tail=False), ctx.i_total)
-    return ctx.i_total - ctx._integral(ctx.x_star - x)
-
-
-def pi_integral_inverse(ctx: AnalyticContext, v: float) -> float:
-    """Inverse of I_a on [0, i_a], by bracketed Newton (derivative = Pi_a)."""
-    slack = 1e-14 * ctx.i_total
-    if not (-slack <= v <= ctx.i_total + slack):
-        raise DomainError(f"value {v!r} outside [0, {ctx.i_total!r}]")
-    v = min(max(v, 0.0), ctx.i_total)
-    # each half is inverted in the frame pi_integral computes it in
-    half = 0.5 * ctx.x_star
-    if v >= pi_integral(ctx, half):
-        return ctx.x_star - ctx._inverse_tail(ctx.i_total - v)
-    # I(x) <= x, so the root is >= v
-    return _newton(lambda x: pi_integral(ctx, x), lambda x: float(ctx._pi(x)),
-                   v, min(v, half), half)
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +321,6 @@ def malthusian_rate(params: ModelParams) -> RateProfile:
     if not (lower - 1e-9 * kstar <= m <= upper + 1e-9 * kstar) or m <= q * kstar:
         raise QuadratureInconsistent(f"rate quadrature inconsistent: {lower} <= {m} <= {upper}")
     return profile
-
-
-def rate_limits(law: ReproductionLaw, q_lo: float, q_hi: float) -> tuple[float, float]:
-    """Rate evaluated at both endpoints of a q-interval (for limit checks)."""
-    if not (0.0 < q_lo < q_hi < 1.0):
-        raise DomainError(f"need 0 < q_lo < q_hi < 1, got {q_lo!r}, {q_hi!r}")
-    return (
-        malthusian_rate(ModelParams(law, q_lo)).m,
-        malthusian_rate(ModelParams(law, q_hi)).m,
-    )
 
 
 def explosion_time(params: ModelParams, a: WeightVector) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, exact, ode, sim
 from .errors import BlowUpDetected, DomainError
-from .model import ModelParams, mean, new_law
+from .model import ModelParams, check_integer, mean, new_law
 
 DEFAULT_SEED = 42
 # the Monte Carlo checks seed their engines at the suite seed plus a fixed
@@ -145,7 +145,7 @@ def check_q_monotonicity(seed: int) -> CheckResult:
         worst_drop = min(worst_drop, drop)
         if drop < -1e-12:
             ok = False
-        m_lo, m_hi = analytic.rate_limits(law, 1e-4, 1.0 - 1e-4)
+        m_lo, m_hi = (analytic.malthusian_rate(ModelParams(law, q)).m for q in (1e-4, 1.0 - 1e-4))
         err_lo = abs(m_lo / mean(law) - 1.0)
         err_hi = abs(m_hi / law.kstar - 1.0)
         worst_lo = max(worst_lo, err_lo)
@@ -463,17 +463,17 @@ SUITE_ORDER = ("rates", "oracles", "asymptotics", "ode", "montecarlo")
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED):
     """Run one suite (or "all"); returns (results, timings by check id).
-    An unknown suite or a seed outside [0, MAX_SEED] is a DomainError before
-    any check runs."""
+    An unknown suite, or a seed that is not an integer in [0, MAX_SEED] (a
+    bool or a float included), is a DomainError before any check runs."""
     if suite == "all":
         names = SUITE_ORDER
     elif suite in SUITES:
         names = (suite,)
     else:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITE_ORDER + ('all',)}")
-    if not 0 <= seed <= MAX_SEED:
-        raise DomainError(f"seed must satisfy 0 <= seed <= {MAX_SEED} (checks draw from "
-                          f"seeds up to seed + {_MAX_SEED_OFFSET}), got {seed}")
+    seed = check_integer(seed, f"seed must be an integer with 0 <= seed <= {MAX_SEED} (checks "
+                         f"draw from seeds up to seed + {_MAX_SEED_OFFSET}), got {{!r}}",
+                         0, MAX_SEED + 1)
     results: list[CheckResult] = []
     timings: dict[str, float] = {}
     for name in names:

@@ -63,50 +63,21 @@ def test_context_criticality(mixed_params):
 # Pi and its integral
 # ---------------------------------------------------------------------------
 
-def test_pi_values_and_domain(binary_params):
-    ctx = analytic.AnalyticContext(binary_params, analytic.linear_weights(binary_params.law))
-    assert float(ctx._pi(0.25)) == pytest.approx(math.sqrt(0.5), abs=1e-14)
-    assert float(ctx._pi(0.0)) == 1.0
-    assert float(ctx._pi(0.5)) == 0.0
-    with pytest.raises(DomainError):
-        analytic.pi_integral(ctx, 0.6)
-    with pytest.raises(DomainError):
-        analytic.pi_integral(ctx, -0.1)
-
-
-def test_pi_strictly_decreasing(mixed_params):
-    ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
-    xs = np.linspace(0.0, ctx.x_star, 50)
-    vals = [float(ctx._pi(float(x))) for x in xs]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
 def test_integral_binary_closed_form(binary_params):
-    # integral of (1-2t)^{p(1-q)/q}: I(x) = (1 - (1-2x)^{a+1}) / (2(a+1))
+    # Pi_a(x) = (1-2x)^{1/2}: the tail of width 1/2 - x is (1-2x)^{3/2} / 3,
+    # checked on its own down to widths of 1e-12 x*
     ctx = analytic.AnalyticContext(binary_params, analytic.linear_weights(binary_params.law))
-    assert analytic.pi_integral(ctx, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-13)
-    assert analytic.pi_integral(ctx, 0.0) == 0.0
-    for x in (0.1, 0.3, 0.45, 0.499):
-        want = (1.0 - (1.0 - 2 * x) ** 2.0) / 4.0 * 4.0 / 3.0
-        want = (1.0 - (1.0 - 2 * x) ** 1.5) / 3.0
-        assert analytic.pi_integral(ctx, x) == pytest.approx(want, rel=1e-12)
+    assert ctx.i_total == pytest.approx(1.0 / 3.0, rel=1e-13)
+    assert ctx._integral(0.0) == 0.0
+    for x in (0.1, 0.3, 0.45, 0.499, 0.5 - 0.5e-6, 0.5 - 0.5e-9, 0.5 - 0.5e-12):
+        want = (1.0 - 2 * x) ** 1.5 / 3.0
+        assert ctx._integral(0.5 - x) == pytest.approx(want, rel=1e-12)
 
 
 def test_integral_mixed_frozen_value(mixed_params):
     ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
-    assert analytic.pi_integral(ctx, 0.5) == pytest.approx(MIXED_INTEGRAL, abs=1e-6)
-    assert analytic.pi_integral(ctx, 0.5) == pytest.approx(MIXED_INTEGRAL, rel=1e-12)
-
-
-def test_integral_monotone_and_inverse(mixed_params):
-    ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
-    xs = np.linspace(0.0, ctx.x_star, 23)
-    vals = [analytic.pi_integral(ctx, float(x)) for x in xs]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    for x, v in zip(xs, vals):
-        assert analytic.pi_integral_inverse(ctx, v) == pytest.approx(float(x), abs=1e-13)
-    with pytest.raises(DomainError):
-        analytic.pi_integral_inverse(ctx, ctx.i_total * 1.01)
+    assert ctx.i_total == pytest.approx(MIXED_INTEGRAL, abs=1e-6)
+    assert ctx.i_total == pytest.approx(MIXED_INTEGRAL, rel=1e-12)
 
 
 def _mp_integral(law, q, x):
@@ -149,30 +120,28 @@ def test_rate_and_integral_match_mpmath(law, q):
     m = analytic.malthusian_rate(params).m
     assert abs(m / float(q / _mp_integral(law, q, ctx.x_star)) - 1) <= 1e-12
     for f in _FRACTIONS:
-        x = f * ctx.x_star
-        want = float(_mp_integral(law, q, x))
-        assert abs(analytic.pi_integral(ctx, x) / want - 1) <= 1e-12, f
+        if f >= 0.5:  # I_a(x) = i_a - tail(x* - x)
+            x = f * ctx.x_star
+            got = ctx.i_total - ctx._integral(ctx.x_star - x)
+            assert abs(got / float(_mp_integral(law, q, x)) - 1) <= 1e-12, f
 
 
 @settings(max_examples=40, deadline=None)
 @given(law=_laws, q=_qs)
 @example(law=new_law({1: 0.5, 7: 0.5}), q=1e-3)
 @example(law=new_law({2: 0.25, 4: 0.25, 6: 0.25, 7: 0.25}), q=1e-3)  # subnormal tails
+@example(law=new_law({4: 0.5625, 5: 0.3125, 7: 0.125}), q=0.003)  # f = 0.3: start clamped to x*
+@example(law=new_law({4: 0.5, 5: 0.5}), q=math.exp(-4.125))  # f = 1e-9: tail 4.2e-307
 def test_inverse_residual(law, q):
-    # at small q, I saturates to i_total in double precision, so the inverse
-    # is judged by its residual, not by its distance to x
+    # at small q the tail spans hundreds of decades, so the inverse is
+    # judged by its residual, not by its distance to the width; below about
+    # 1e-300 the panel products go subnormal, and the residual may reach
+    # the panel rule's own absolute floor of 1e-305
     ctx = analytic.AnalyticContext(ModelParams(law, q), analytic.linear_weights(law))
     for f in _FRACTIONS:
-        v = analytic.pi_integral(ctx, f * ctx.x_star)
-        x_hat = analytic.pi_integral_inverse(ctx, v)
-        assert abs(analytic.pi_integral(ctx, x_hat) - v) <= 1e-13 * ctx.i_total, f
-
-
-def test_small_x_integral_keeps_relative_accuracy(mixed_params):
-    ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
-    x = 1e-9 * ctx.x_star
-    want = float(_mp_integral(mixed_params.law, mixed_params.q, x))
-    assert abs(analytic.pi_integral(ctx, x) / want - 1) <= 1e-13
+        eps = ctx._integral(f * ctx.x_star)
+        sigma = ctx._inverse_tail(eps)
+        assert abs(ctx._integral(sigma) - eps) <= 1e-13 * eps + 1e-305, f
 
 
 @pytest.mark.parametrize("d", [1e-2, 1e-5, 1e-8, 1e-12])
@@ -199,7 +168,7 @@ def test_newton_start_does_not_overflow(masses):
         value, deriv = analytic.flow(ctx, t)
         assert 0.0 < q * value < ctx.x_star and math.isfinite(deriv)
         v = -q * math.expm1(-t)
-        assert abs(analytic.pi_integral(ctx, q * value) - v) <= 1e-13 * ctx.i_total
+        assert abs(float(_mp_integral(law, q, q * value)) - v) <= 1e-13 * ctx.i_total
 
 
 def test_panel_rule_raises_when_not_converged(mixed_params, monkeypatch):
@@ -211,7 +180,7 @@ def test_panel_rule_raises_when_not_converged(mixed_params, monkeypatch):
     ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
     monkeypatch.setattr(ctx, "_smooth", lambda y: np.full(np.shape(y), math.nan))
     with pytest.raises(NotConverged):
-        analytic.pi_integral(ctx, 0.1)
+        ctx._integral(0.1)
 
 
 def test_panel_rule_missing_the_peak_raises():
@@ -233,8 +202,6 @@ def test_newton_raises_at_iteration_cap(mixed_params, monkeypatch):
     monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(NotConverged):
         analytic.flow(ctx, 2.0)
-    with pytest.raises(NotConverged):
-        analytic.pi_integral_inverse(ctx, 0.1 * ctx.i_total)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +261,6 @@ def test_rate_within_domination_bounds(law, q):
         assert prof.upper - prof.lower <= tol
 
 
-def test_rate_limits(mixed_params):
-    law = mixed_params.law
-    m_lo, m_hi = analytic.rate_limits(law, 1e-4, 1 - 1e-4)
-    assert abs(m_lo / 1.5 - 1) < 0.01   # q -> 0: mean of the law
-    assert abs(m_hi / 2.0 - 1) < 0.01   # q -> 1: max support point
-    a, b = analytic.rate_limits(law, 0.3, 0.6)
-    assert a < b
-    with pytest.raises(DomainError):
-        analytic.rate_limits(law, 0.6, 0.3)
-
-
 # ---------------------------------------------------------------------------
 # explosion time and flow
 # ---------------------------------------------------------------------------
@@ -348,6 +304,12 @@ def test_flow_critical_limit(mixed_params):
     ctx = analytic.critical_context(mixed_params)
     value, _ = analytic.flow(ctx, 45.0)
     assert value == pytest.approx(1.0 / (mixed_params.q * ctx.a.amax), rel=1e-10)
+    # the tail target at t = 700 is 1.03e-305, where a difference of two
+    # logs near -700 keeps only 1e-13 of the Newton step's ratio
+    params = ModelParams(new_law({0: 2 / 7, 6: 5 / 7}), 0.10414544960854119)
+    ctx = analytic.critical_context(params)
+    value, deriv = analytic.flow(ctx, 700.0)
+    assert value == pytest.approx(ctx.x_star / params.q, rel=1e-15) and deriv > 0
 
 
 def test_flow_consistency_derivative(mixed_params):
@@ -358,7 +320,8 @@ def test_flow_consistency_derivative(mixed_params):
     for t in np.linspace(0.05, 3.0, 50):
         ap, _ = analytic.flow(ctx, float(t + h))
         am, _ = analytic.flow(ctx, float(t - h))
-        lhs = (analytic.pi_integral(ctx, q * ap) - analytic.pi_integral(ctx, q * am)) / (2 * h)
+        # I_a(x) = i_a - tail(x* - x), and i_a cancels in the difference
+        lhs = (ctx._integral(ctx.x_star - q * am) - ctx._integral(ctx.x_star - q * ap)) / (2 * h)
         assert lhs == pytest.approx(q * math.exp(-t), abs=1e-6)
 
 
@@ -393,7 +356,7 @@ def _mp_pi_and_log_slope(law, q, x):
 @settings(max_examples=15, deadline=None)
 @given(law=_laws, q=st.floats(0.05, 0.95))
 def test_explosion_time_matches_mpmath(law, q):
-    # pi_integral promises i_a to relative 1e-11, and rho = -log(1 - i_a/q)
+    # the panel rule promises i_a to relative 1e-11, and rho = -log(1 - i_a/q)
     # moves by d i_a / (q - i_a), so rho may be off by 1e-11 i_a / (q - i_a)
     rho = analytic.explosion_time(ModelParams(law, q), analytic.linear_weights(law))
     with mpmath.workdps(30):

@@ -347,6 +347,10 @@ def test_verify_seed_past_the_offset_range_exits_one():
     assert "18446744073709551615" in err and str(verify.MAX_SEED) in err
     with pytest.raises(DomainError):
         verify.run_suite("montecarlo", verify.MAX_SEED + 1)
+    # a float or a bool seed is no integer seed, and fails before any check runs
+    for seed in (1.5, True):
+        with pytest.raises(DomainError, match="integer"):
+            verify.run_suite("all", seed)
 
 
 def test_verify_accepts_the_largest_seed(monkeypatch):
