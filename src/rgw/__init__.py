@@ -32,7 +32,6 @@ from .model import (
     ReproductionLaw,
     load_params,
     mean,
-    moment,
     new_law,
     params_from_dict,
     params_to_dict,

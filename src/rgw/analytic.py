@@ -11,16 +11,17 @@ constants all reduce to these three primitives.
 
 The integrand has a branch point at the right endpoint x* = 1/max(a) with
 exponent E = sum of nu(j)(1-q)/q over the maximal-weight group.  Every
-integral of Pi_a goes through one adaptive panel rule (no QUADPACK): each
-panel is computed at Gauss orders 20 and 40 and halved until the two agree.
-The panel touching x* carries (1 - x a_max)^E in a Gauss-Jacobi weight
-(E <= 50), which restores spectral accuracy there; every other panel is
-Gauss-Legendre.  The rule runs in one frame, the distance s from x*: it
-integrates Pi_a over [x* - s, x*] (the tail), i_a is the tail of width x*,
-and I_a(x) = i_a - tail(x* - x).  One bracketed Newton iteration, on log
-tail against log s, inverts the tail; one that does not settle raises
-NotConverged.  gamma needs no second rule: A'' = phi A' gives it from one
-flow point per horizon.
+integral of Pi_a goes through one adaptive panel rule (no QUADPACK): a
+tanh-sinh pair (Takahasi and Mori, Publ. RIMS 9, 1974) on every panel,
+halved until the pair agrees.  Its nodes crowd both panel ends and do not
+depend on E, so one node set resolves the branch point and the peak at 0.
+The rule runs in the distance s from x*: it integrates Pi_a over
+[x* - s, x*] (the tail), i_a is the tail of width x*, and
+I_a(x) = i_a - tail(x* - x); each node is also held as x, so that each
+factor is formed from its own singular end.  One bracketed Newton
+iteration, on log tail against log s, inverts the tail; one that does not
+settle raises NotConverged.  gamma needs no second rule: A'' = phi A'
+gives it from one flow point per horizon.
 """
 from __future__ import annotations
 
@@ -41,12 +42,8 @@ from .model import ModelParams, ReproductionLaw, mean
 CRITICALITY_TOL = 1e-10
 # i_a >= q - EXPLOSION_TOL means no explosion
 EXPLOSION_TOL = 1e-12
-# above this combined endpoint exponent the integrand is flat at x*, not
-# singular, and the endpoint panel is Gauss-Legendre like the others
-_GJ_MAX_EXPONENT = 50.0
-# the panel rule: the order pair compared on each panel, the agreement
-# asked of the pair relative to the running total, and the panel budget
-_ORDERS = (20, 40)
+# the panel rule: the agreement asked of the tanh-sinh pair relative to the
+# running total, and the panel budget
 _PANEL_TOL = 1e-14
 _PANEL_BUDGET = 4096
 _NEWTON_MAX_ITER = 100
@@ -60,14 +57,17 @@ EXPLOSIVE = "subcritical-explosive"
 NON_EXPLOSIVE = "non-explosive"
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rules of the _ORDERS on [-1, 1] with
-    weight (1 - u)^alpha, concatenated; alpha = 0 is Gauss-Legendre."""
-    from scipy.special import roots_jacobi
-
-    rules = [roots_jacobi(n, alpha, 0.0) for n in _ORDERS]
-    return np.concatenate([u for u, _ in rules]), np.concatenate([w for _, w in rules])
+@functools.cache
+def _tanh_sinh() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v in (0, 1) and weights of the tanh-sinh rule on [0, 1] at
+    t = k/16, |k| <= 56; the even nodes at twice the weight are the rule at
+    step 1/8.  v = (1 + tanh u)/2 with u = (pi/2) sinh t is formed from
+    e = exp(-2|u|), so that v[::-1] is 1 - v without cancellation."""
+    t = np.arange(-56, 57) / 16.0
+    u = 0.5 * np.pi * np.sinh(t)
+    e = np.exp(-2.0 * np.abs(u))
+    v = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    return v, np.pi / 16.0 * np.cosh(t) * e / (1.0 + e) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +177,10 @@ class AnalyticContext:
     # -- primitives ---------------------------------------------------------
 
     def _smooth(self, y):
-        """Product of the non-maximal factors (1 if none); analytic on [0, x*]."""
+        """Product of the non-maximal factors (1 if none), summed in logs as
+        e_j log1p(-a_j y); analytic on [0, x*]."""
         y = np.asarray(y, dtype=float)[..., None]
-        return np.prod((1.0 - y * self._rest_w) ** self._rest_e, axis=-1)
+        return np.exp((self._rest_e * np.log1p(-y * self._rest_w)).sum(axis=-1))
 
     def _pi_from_sigma(self, sigma: float) -> float:
         """Pi_a(x* - sigma) without forming 1 - x*a_max (cancellation-free)."""
@@ -190,16 +191,16 @@ class AnalyticContext:
         from x*, so that tiny tails keep their relative accuracy; i_a is the
         tail of width x*, and I_a(x) = i_a - tail(x* - x).
 
-        Every pending panel is computed at orders 20 and 40 in one pass; a
-        panel whose two values agree to _PANEL_TOL of the running total is
-        accepted and every other one is halved.  The panel at s = 0 takes
-        (a_max s)^E into a Gauss-Jacobi weight while E <= _GJ_MAX_EXPONENT;
-        every other panel is Gauss-Legendre.
+        Every pending panel [lo, hi] is computed by the tanh-sinh pair in one
+        pass; a panel whose two values agree to _PANEL_TOL of the running
+        total is accepted and every other one is halved.  Each node is held
+        both as s = lo + span v and as x = (x* - hi) + span (1 - v): the
+        maximal factor is (a_max s)^E on the half nearer x* and
+        exp(E log1p(-a_max x)) on the half nearer 0, and the smooth factor
+        reads x, so no factor takes the rounding of the other frame.
         """
         amax, E = self.a.amax, self._E
-        jacobi = E <= _GJ_MAX_EXPONENT
-        leg_u, leg_w = _gauss(0.0)
-        jac_u, jac_w = _gauss(E) if jacobi else (leg_u, leg_w)
+        v, w = _tanh_sinh()
         lo, hi = np.zeros(1), np.array([float(width)])
         done: list[float] = []
         evaluated = 0
@@ -207,12 +208,15 @@ class AnalyticContext:
             evaluated += lo.size
             if evaluated > _PANEL_BUDGET:
                 raise NotConverged(f"panel rule exceeded {_PANEL_BUDGET} panels")
-            half = 0.5 * (hi - lo)[:, None]
-            sing = (lo == 0.0)[:, None] & jacobi
-            s = lo[:, None] + half * (1.0 - np.where(sing, jac_u, leg_u))
-            f = self._smooth(self.x_star - s) * (amax * np.where(sing, half, s)) ** E
-            fw = half * f * np.where(sing, jac_w, leg_w)
-            low, high = fw[:, :_ORDERS[0]].sum(axis=1), fw[:, _ORDERS[0]:].sum(axis=1)
+            span = (hi - lo)[:, None]
+            s = lo[:, None] + span * v
+            x = (self.x_star - hi)[:, None] + span * v[::-1]
+            # min(x, s) keeps log1p off -1 where the other branch is taken
+            power = np.where(s <= x, (amax * s) ** E,
+                             np.exp(E * np.log1p(-amax * np.minimum(x, s))))
+            # span * w first: a product with a tiny power would go subnormal
+            fw = self._smooth(x) * power * (span * w)
+            high, low = fw.sum(axis=1), 2.0 * fw[:, ::2].sum(axis=1)
             if not np.all(np.isfinite(high)):
                 raise NotConverged("panel rule met a non-finite panel sum")
             total = math.fsum(done) + float(high.sum())
@@ -224,10 +228,12 @@ class AnalyticContext:
             lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
         return math.fsum(done)
 
-    def _inverse_tail(self, eps: float) -> float:
+    def _inverse_tail(self, eps: float) -> tuple[float, float]:
         """Solve tail(sigma) = eps for sigma by Newton steps on log tail
         against log sigma (slope sigma Pi_a / tail), kept inside the
         shrinking bracket [0, x*] and bisecting where a step leaves it.
+        Returns sigma and the tail computed there (eps itself at the clamped
+        ends 0 and x*), so a caller can refine by the last residual.
 
         The tail behaves like C sigma^(E+1) near 0, a line in these logs, so
         the power-law guess (in logs: a_max^E may overflow) lands within a
@@ -236,9 +242,9 @@ class AnalyticContext:
         A tail that does not settle raises NotConverged.
         """
         if eps <= 0.0:
-            return 0.0
+            return 0.0, eps
         if eps >= self.i_total:
-            return self.x_star
+            return self.x_star, eps
         E, g0 = self._E, float(self._smooth(self.x_star))
         lo, hi, sigma = 0.0, self.x_star, self.x_star
         if g0 > 0:
@@ -255,7 +261,7 @@ class AnalyticContext:
             # a tail equal to the last one is one the panel rule cannot
             # resolve further (its panel products go subnormal near 1e-300)
             if abs(tail - eps) <= 2e-14 * eps or (tail == last and tail > 0.0):
-                return sigma
+                return sigma, tail
             last = tail
             # log(eps / tail): a difference of logs near -700 keeps only 1e-13
             slope = sigma * self._pi_from_sigma(sigma) / tail if tail > 0 else 0.0
@@ -265,7 +271,7 @@ class AnalyticContext:
             if not (lo < new < hi):
                 new = 0.5 * (lo + hi)
             if abs(new - sigma) <= 1e-16 * sigma:
-                return new
+                return sigma, tail
             sigma = new
         raise NotConverged(f"Newton unsettled after {_NEWTON_MAX_ITER} iterations "
                            f"(target {eps!r})")
@@ -338,8 +344,11 @@ def explosion_time(params: ModelParams, a: WeightVector) -> float:
 def _flow_point(ctx: AnalyticContext, t: float) -> tuple[float, float, float]:
     """(x, sigma, deriv) at time t: x = q A(t) = I_a^{-1}(q (1 - e^{-t})),
     sigma = x* - x, kept for cancellation-free factors, and
-    deriv = A'(t) = e^{-t} / Pi_a(q A(t)).  A time at which i_a - I_a(x) or
-    Pi_a(x) underflows the normal float range raises DomainError."""
+    deriv = A'(t) = e^{-t} / Pi_a(q A(t)).  x is refined by one more Newton
+    step from the tail the inverse computed at its sigma, (tail - eps) / Pi_a,
+    which resolves x below the spacing of floats near x*.  A time at which
+    i_a - I_a(x) or Pi_a(x) underflows the normal float range raises
+    DomainError."""
     q = ctx.params.q
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
@@ -351,11 +360,11 @@ def _flow_point(ctx: AnalyticContext, t: float) -> tuple[float, float, float]:
     eps = delta + q * math.exp(-t)
     if eps < sys.float_info.min:
         raise DomainError(f"t={t!r} is too large: i_a - I_a(q A(t)) = {eps!r} underflows")
-    sigma = ctx._inverse_tail(eps)
+    sigma, tail = ctx._inverse_tail(eps)
     pi_x = ctx._pi_from_sigma(sigma)
     if pi_x == 0.0:
         raise DomainError(f"t={t!r}: Pi_a at the flow point underflows to 0")
-    return ctx.x_star - sigma, sigma, math.exp(-t) / pi_x
+    return (ctx.x_star - sigma) + (tail - eps) / pi_x, sigma, math.exp(-t) / pi_x
 
 
 def flow(ctx: AnalyticContext, t: float) -> tuple[float, float]:

@@ -150,15 +150,6 @@ def mean(law: ReproductionLaw) -> float:
     return math.fsum(k * p for k, p in law.masses.items())
 
 
-def moment(law: ReproductionLaw, ell: int) -> float:
-    """ell-th power moment, with the convention 0**0 = 1."""
-    if ell < 0:
-        raise DomainError(f"moment order must be >= 0, got {ell}")
-    if ell == 0:
-        return math.fsum(law.masses.values())
-    return math.fsum(p * float(k) ** ell for k, p in law.masses.items())
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """A reproduction law paired with the memory parameter q in (0,1)."""

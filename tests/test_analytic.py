@@ -101,7 +101,8 @@ def _mp_integral(law, q, x):
         return mpmath.quad(pi, graded(x_star)) - mpmath.quad(pi, [x, x_star])
 
 
-# 2-4 point laws; q down to 1e-3 puts E far above _GJ_MAX_EXPONENT
+# 2-4 point laws; q down to 1e-3 puts E near 1000, where the tail spans
+# hundreds of decades
 _laws = st.lists(st.integers(0, 7), min_size=2, max_size=4, unique=True).filter(
     lambda pts: max(pts) > 0).flatmap(
     lambda pts: st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)).map(
@@ -140,7 +141,7 @@ def test_inverse_residual(law, q):
     ctx = analytic.AnalyticContext(ModelParams(law, q), analytic.linear_weights(law))
     for f in _FRACTIONS:
         eps = ctx._integral(f * ctx.x_star)
-        sigma = ctx._inverse_tail(eps)
+        sigma, _ = ctx._inverse_tail(eps)
         assert abs(ctx._integral(sigma) - eps) <= 1e-13 * eps + 1e-305, f
 
 
@@ -172,10 +173,10 @@ def test_newton_start_does_not_overflow(masses):
 
 
 def test_panel_rule_raises_when_not_converged(mixed_params, monkeypatch):
-    a = analytic.weights_from_map(mixed_params.law, {1: 2.0 - 1e-8, 2: 2.0})
+    law = new_law({1: 0.5, 2: 0.5})
     monkeypatch.setattr(analytic, "_PANEL_BUDGET", 8)
-    with pytest.raises(NotConverged):
-        analytic.AnalyticContext(mixed_params, a)  # needs ~27 halvings at x*
+    with pytest.raises(NotConverged):  # the peak of Pi_a at 0, about q wide, takes 13 panels
+        analytic.AnalyticContext(ModelParams(law, 1e-3), analytic.linear_weights(law))
     monkeypatch.undo()
     ctx = analytic.AnalyticContext(mixed_params, analytic.linear_weights(mixed_params.law))
     monkeypatch.setattr(ctx, "_smooth", lambda y: np.full(np.shape(y), math.nan))
@@ -184,17 +185,18 @@ def test_panel_rule_raises_when_not_converged(mixed_params, monkeypatch):
 
 
 def test_panel_rule_missing_the_peak_raises():
-    # Pi_a = (1 - x)^(1/q - 1) here, so i_a = q exactly; at q = 1e-6 every
-    # Gauss node misses the peak at 0 and both orders read 0
+    # Pi_a = (1 - x)^(1/q - 1) here, so i_a = q exactly; at q = 1e-30 the
+    # peak at 0 is narrower than the first node and every node reads 0
     law = new_law({1: 0.5, 2: 0.5})
     a = analytic.constant_weights(law, 1.0)
     with pytest.raises(NotConverged):
-        analytic.explosion_time(ModelParams(law, 1e-6), a)
+        analytic.explosion_time(ModelParams(law, 1e-30), a)
     with pytest.raises(NotConverged):
-        analytic.malthusian_rate(ModelParams(law, 3e-7))
-    ctx = analytic.AnalyticContext(ModelParams(law, 1.5e-6), a)
-    assert ctx.i_total == pytest.approx(1.5e-6, rel=1e-12)
-    assert ctx.explosion_time == math.inf
+        analytic.malthusian_rate(ModelParams(law, 1e-30))
+    for q in (1e-6, 1.5e-6):
+        ctx = analytic.AnalyticContext(ModelParams(law, q), a)
+        assert abs(ctx.i_total / q - 1) <= 1e-15
+        assert ctx.explosion_time == math.inf
 
 
 def test_newton_raises_at_iteration_cap(mixed_params, monkeypatch):
@@ -213,6 +215,24 @@ def test_rate_binary_closed_form():
         params = ModelParams(new_law({0: 1 - p, 2: p}), q)
         prof = analytic.malthusian_rate(params)
         assert prof.m == pytest.approx(2 * (q + (1 - q) * p), rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 8), p=st.floats(0.05, 0.95),
+       q=st.floats(math.log(1e-6), math.log(0.95)).map(math.exp))
+def test_binary_rate_closed_form_at_small_q(k, p, q):
+    # E = p(1-q)/q reaches 1e6: the rate is still k (q + (1-q) nu_k)
+    law = new_law({0: 1 - p, k: p})
+    m = analytic.malthusian_rate(ModelParams(law, q)).m
+    assert abs(m / (k * (q + (1 - q) * law.mass(k))) - 1) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_laws, q=st.floats(math.log(1e-12), math.log(0.95)).map(math.exp))
+def test_constant_weights_integral_is_q(law, q):
+    # a_j = 1 makes Pi_a = (1 - x)^(1/q - 1), so i_a = q exactly
+    ctx = analytic.AnalyticContext(ModelParams(law, q), analytic.constant_weights(law, 1.0))
+    assert abs(ctx.i_total / q - 1) <= 1e-15
 
 
 def test_rate_mixed_profile(mixed_params):

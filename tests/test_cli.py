@@ -209,7 +209,7 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--weights", "1:1,2:1", "--t", "800"],
     ["verify", "--suite", "rates", "--seed", "-1"],
     ["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "0"],
-    ["rate", "--law", "1:0.5,2:0.5", "--q", "3e-7"],
+    ["rate", "--law", "1:0.5,2:0.5", "--q", "1e-20"],
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--rel-tol", "1e-20"],
     ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--replicas", "100",
      "--seed", "-1"],
@@ -225,6 +225,7 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.98", "--format", "csv", "--t", "1e300"],
     ["ode-check", "--law", "0:0.5,2:0.5", "--q", "0.999999", "--format", "csv", "--c", "1e300",
      "--rel-tol", "1e-12"],
+    ["rate", "--law", "1:0.5,2:0.5", "--q", "1e-30"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
@@ -326,7 +327,7 @@ def test_law_file_bad_map_exits_one(law, tmp_path):
 def test_population_runs_where_the_rate_quadrature_fails():
     # malthusian_rate raises NotConverged at this q; batches are sized from
     # the measured generation widths, and neither engine needs the rate
-    argv = ["simulate", "--law", "1:0.5,2:0.5", "--q", "3e-7", "--n", "5", "--replicas", "100"]
+    argv = ["simulate", "--law", "1:0.5,2:0.5", "--q", "1e-20", "--n", "5", "--replicas", "100"]
     code, out, err = run_cli_err(argv)
     assert code == 0 and err == ""
     est = json.loads(out)["estimate"]
@@ -394,22 +395,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["monte_carlo"] = scipy_modules()
     codes.append(rgw.cli.main(["rate", *law]))
     seen["rate"] = scipy_modules()
+    codes.append(rgw.cli.main(["moments", *law, "--n", "20"]))
+    seen["moments"] = scipy_modules()
+    codes.append(rgw.cli.main(["asymptotics", *law, "--n", "16"]))
+    seen["asymptotics"] = scipy_modules()
 print(json.dumps({"codes": codes, **seen}))
 """
 
 
 def test_only_the_callers_of_scipy_load_it():
     # a fresh interpreter: importing rgw and running the Monte Carlo
-    # subcommands loads no scipy module, and a rate loads scipy.special only
+    # subcommands or the rate subcommands loads no scipy module
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["codes"] == [0, 0, 0, 0, 0, 0]
     assert seen["import"] == [] and seen["monte_carlo"] == []
-    assert "scipy.special" in seen["rate"]
-    assert "scipy.integrate" not in seen["rate"]
+    assert seen["rate"] == [] and seen["moments"] == [] and seen["asymptotics"] == []
 
 
 def test_moments_past_float_range_are_inf_without_warnings():

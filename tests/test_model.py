@@ -1,15 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rgw.errors import DegenerateLaw, DomainError, NegativeMass, NotNormalized, ParseError
 from rgw.model import (
     ModelParams,
     load_params,
     mean,
-    moment,
     new_law,
     params_from_dict,
     params_to_dict,
@@ -73,20 +70,6 @@ def test_mean_examples():
     assert mean(new_law({0: 0.25, 1: 0.25, 4: 0.5})) == 2.25
 
 
-def test_moment_examples():
-    law = new_law({1: 0.5, 2: 0.5})
-    assert moment(law, 0) == 1.0
-    assert moment(law, 2) == 2.5
-    assert moment(new_law({0: 0.5, 2: 0.5}), 1) == 1.0
-    # 0^0 = 1 convention: the zero atom contributes to the 0-th moment
-    assert moment(new_law({0: 0.5, 2: 0.5}), 0) == 1.0
-
-
-def test_moment_matches_mean(mixed_params):
-    law = mixed_params.law
-    assert moment(law, 1) == mean(law)
-
-
 def test_parse_law():
     law = parse_law("0:0.5,2:0.5")
     assert law.masses == {0: 0.5, 2: 0.5}
@@ -126,22 +109,3 @@ def test_load_params_errors(tmp_path):
     path.write_text(json.dumps({"law": {"1": 0.5, "2": 0.5}}))
     with pytest.raises(ParseError):
         load_params(str(path))
-
-
-@st.composite
-def small_laws(draw):
-    pts = draw(st.lists(st.integers(0, 8), min_size=2, max_size=5, unique=True))
-    if sum(1 for p in pts if p > 0) == 0:
-        pts.append(1)
-    raw = [draw(st.floats(0.05, 1.0)) for _ in pts]
-    total = sum(raw)
-    return new_law({k: w / total for k, w in zip(pts, raw)})
-
-
-@settings(max_examples=200, deadline=None)
-@given(law=small_laws(), ell=st.integers(0, 10), ellp=st.integers(0, 10))
-def test_moment_product_inequality(law, ell, ellp):
-    # power moments are super-multiplicative (Jensen)
-    lhs = moment(law, ell) * moment(law, ellp)
-    rhs = moment(law, ell + ellp)
-    assert lhs <= rhs * (1 + 1e-12)
