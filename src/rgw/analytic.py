@@ -20,8 +20,8 @@ The rule runs in the distance s from x*: it integrates Pi_a over
 I_a(x) = i_a - tail(x* - x); each node is also held as x, so that each
 factor is formed from its own singular end.  One bracketed Newton
 iteration, on log tail against log s, inverts the tail; one that does not
-settle raises NotConverged.  gamma needs no second rule: A'' = phi A'
-gives it from one flow point per horizon.
+settle raises NotConverged.  gamma and the limits use gamma's closed form
+and the rate; the flow route (A'' = phi A') is their oracle.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, NotConverged, QuadratureInconsistent, UnsupportedTie
-from .model import ModelParams, ReproductionLaw, mean
+from .model import ModelParams, ReproductionLaw, check_integer, mean
 
 # |i_a - q| below this counts as critical; critical contexts are always
 # built from a computed rate which carries quadrature error
@@ -393,6 +393,7 @@ def mgf_vector(ctx: AnalyticContext, t: float) -> list[float]:
 
 def mgf_closed(ctx: AnalyticContext, ell: int, t: float) -> float:
     """Closed-form M_ell(a,t), the ell entry of mgf_vector."""
+    ell = check_integer(ell, "ell must be a support point, got {!r}", 0)
     if ell not in ctx.a.weights:
         raise DomainError(f"{ell} is not a support point")
     return mgf_vector(ctx, t)[ctx.a.support.index(ell)]
@@ -461,39 +462,47 @@ def gamma_constant(params: ModelParams) -> float:
     return _gamma_sequence(params)[-1][1]
 
 
+def _gamma_closed(params: ModelParams, profile: RateProfile, log_divisor: float) -> float:
+    """gamma / e^log_divisor, in logs: log P*(x*) = ((1-q)/q) sum over j < k*
+    of nu(j) log1p(-j/k*) does not depend on m, and a_max = k*/m."""
+    q, beta, kstar = params.q, profile.beta, params.law.kstar
+    log_p = (1.0 - q) / q * math.fsum(nu * math.log1p(-j / kstar)
+                                      for j, nu in params.law.masses.items() if j < kstar)
+    log_value = (-log_p / beta - log_divisor
+                 - (1.0 - 1.0 / beta) * (math.log(kstar * beta * q) - profile.log_m))
+    if log_value > math.log(sys.float_info.max):
+        raise DomainError(f"the constant e^{log_value:.6g} built from gamma overflows floats")
+    return math.exp(log_value)
+
+
 def gamma_closed_form(params: ModelParams) -> float:
-    """Independent closed form for gamma.
+    """gamma from its closed form and one rate quadrature, no flow point.
 
     Matching the constant term of <nu; M> at the singularity forces
     gamma = (P*(x*) / (a_max beta q))^(1 - 1/beta) / P*(x*), with P* the
-    product of the non-maximal factors.  It uses only P*(x*), a_max and
-    beta, so it cross-checks the flow route of gamma_constant (the panel
-    rule's tail and the Newton inverse at finite T).
+    product of the non-maximal factors; in logs, so an underflowing P*(x*)
+    is no error.  gamma_constant, the flow route, is its oracle.
     """
-    ctx = critical_context(params)
-    beta = 1.0 + ctx._E
-    p_star = float(ctx._smooth(ctx.x_star))
-    return (p_star / (ctx.a.amax * beta * params.q)) ** (1.0 - 1.0 / beta) / p_star
+    return _gamma_closed(params, malthusian_rate(params), 0.0)
 
 
 def conditional_limit_constant(params: ModelParams, ell: int) -> float:
     """Limit of n^(1/beta) m^-n E_ell[Z(n)] (of m^-n E_ell[Z(n)] when ell = k*).
 
-    For 0 < ell < k* the value is gamma / (Gamma(1-1/beta) m (1/ell - 1/k*));
-    for ell = k* it is 1/(q + nu(k*)(1-q)); for ell = 0 the chain is absorbed
-    immediately and the constant is 0.
+    For 0 < ell < k* it is gamma / (Gamma(1-1/beta) m (1/ell - 1/k*)), from
+    gamma_closed_form's route; for ell = k* it is 1/(q + nu(k*)(1-q)); for
+    ell = 0 the chain is absorbed immediately and the constant is 0.
     """
     law, q = params.law, params.q
+    ell = check_integer(ell, "ell must be a support point, got {!r}", 0)
     if ell not in law.masses:
         raise DomainError(f"{ell} is not a support point")
     kstar = law.kstar
     if ell == 0:
         return 0.0
-    nk = law.mass(kstar)
     if ell == kstar:
-        return 1.0 / (q + nk * (1.0 - q))
+        return 1.0 / (q + law.mass(kstar) * (1.0 - q))
     profile = malthusian_rate(params)
-    beta = profile.beta
-    gam = gamma_constant(params)
-    # 1 - 1/beta lies in (0, 1), where math.gamma is finite and positive
-    return gam / (math.gamma(1.0 - 1.0 / beta) * profile.m * (1.0 / ell - 1.0 / kstar))
+    # 1 - 1/beta lies in (0, 1), where Gamma is finite and above 1
+    return _gamma_closed(params, profile, math.lgamma(1.0 - 1.0 / profile.beta)
+                         + profile.log_m + math.log(1.0 / ell - 1.0 / kstar))

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analytic, exact, ode, sim, verify
-from .errors import RgwError
+from .errors import NotConverged, RgwError
 from .model import ModelParams, load_params, params_to_dict, parse_law, parse_pairs
 
 _DEFAULT_CAP = sim.SimConfig.population_cap
@@ -125,7 +125,7 @@ def _cmd_rate(args) -> int:
     a = analytic.linear_weights(params.law)
     rho = analytic.explosion_time(params, a)
     payload = {
-        "config": _base_config(params, quadrature_rel_tol=1e-11),
+        "config": _base_config(params),
         "rate": {
             "m": prof.m,
             "log_m": prof.log_m,
@@ -286,11 +286,14 @@ def _cmd_asymptotics(args) -> int:
         raise RgwError("--ell 0 has no trend: from a root with no children E[Z(n)] = 0")
     params = _resolve_params(args)
     prof = analytic.malthusian_rate(params)
-    gam = analytic.gamma_constant(params)
+    try:
+        gam = analytic.gamma_constant(params)
+    except NotConverged:  # the flow route has not settled by its horizon cap
+        gam = None
     ells = [args.ell] if args.ell is not None else list(params.law.support)
     limits = {str(ell): analytic.conditional_limit_constant(params, ell) for ell in ells}
     payload = {
-        "config": _base_config(params, gamma_tail_tol=1e-9),
+        "config": _base_config(params),
         "asymptotics": {
             "m": prof.m,
             "beta": prof.beta,

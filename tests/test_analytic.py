@@ -455,8 +455,9 @@ def test_mgf_closed_basics(mixed_params, binary_params):
         assert analytic.mgf_closed(ctx, j, 0.0) == pytest.approx(ctx.a[j], rel=1e-12)
     bctx = analytic.critical_context(binary_params)
     assert analytic.mgf_closed(bctx, 0, 5.0) == 0.0
-    with pytest.raises(DomainError):
-        analytic.mgf_closed(ctx, 3, 0.0)
+    for ell in (3, True, 1.0):
+        with pytest.raises(DomainError):
+            analytic.mgf_closed(ctx, ell, 0.0)
 
 
 def test_mgf_closed_checks_time_at_zero_weight(binary_params):
@@ -546,6 +547,68 @@ def test_gamma_constant_matches_closed_form(law, q):
     assert analytic.gamma_constant(params) == pytest.approx(want, rel=1e-11)
 
 
+def _mp_gamma_direct(law, q, m):
+    """(P*(x*) / (a_max beta q))^(1 - 1/beta) / P*(x*) at 50 digits, with
+    a_max = k*/m and P*(x*) the product of (1 - j/k*)^(nu(j)(1-q)/q)."""
+    with mpmath.workdps(50):
+        k, q, m = law.kstar, mpmath.mpf(q), mpmath.mpf(m)
+        beta = 1 + (1 - q) * law.mass(k) / q
+        p_star = mpmath.fprod((1 - mpmath.mpf(j) / k) ** (law.mass(j) * (1 - q) / q)
+                              for j in law.support if j < k)
+        return float((p_star / (k / m * beta * q)) ** (1 - 1 / beta) / p_star)
+
+
+def test_gamma_closed_form_at_small_q():
+    # P*(x*) = 5^-499.5 underflows to 0; gamma itself is about 8.95
+    params = ModelParams(new_law({4: 0.5, 5: 0.5}), 1e-3)
+    want = _mp_gamma_direct(params.law, params.q, analytic.malthusian_rate(params).m)
+    assert analytic.gamma_closed_form(params) == pytest.approx(want, rel=1e-13)
+    assert analytic.gamma_closed_form(params) == pytest.approx(8.95175283173, rel=1e-11)
+    # gamma is about e^1600, past the float range
+    params = ModelParams(new_law({4: 0.999, 5: 0.001}), 5e-6)
+    for fn in (analytic.gamma_closed_form, lambda p: analytic.conditional_limit_constant(p, 4)):
+        with pytest.raises(DomainError, match="overflows"):
+            fn(params)
+
+
+def test_closed_form_routes_build_one_context(mixed_params, monkeypatch):
+    contexts, flow_points = [], []
+    real_init, real_flow = analytic.AnalyticContext.__init__, analytic._flow_point
+
+    def init(self, params, a):
+        contexts.append(a)
+        real_init(self, params, a)
+
+    def flow_point(ctx, t):
+        flow_points.append(t)
+        return real_flow(ctx, t)
+
+    monkeypatch.setattr(analytic.AnalyticContext, "__init__", init)
+    monkeypatch.setattr(analytic, "_flow_point", flow_point)
+    for fn in (analytic.gamma_closed_form,
+               lambda p: analytic.conditional_limit_constant(p, 1)):
+        contexts.clear()
+        fn(mixed_params)
+        assert len(contexts) == 1
+    assert flow_points == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=_laws, q=_qs)
+def test_conditional_limit_matches_flow_route(law, q):
+    params = ModelParams(law, q)
+    try:
+        gam = analytic.gamma_constant(params)
+    except NotConverged:
+        return  # the flow route has not settled by its horizon cap
+    prof, kstar = analytic.malthusian_rate(params), law.kstar
+    for ell in law.support:
+        if 0 < ell < kstar:
+            want = gam / (math.gamma(1 - 1 / prof.beta) * prof.m * (1 / ell - 1 / kstar))
+            assert analytic.conditional_limit_constant(params, ell) == pytest.approx(
+                want, rel=1e-10)
+
+
 def _phi_shift_integral(ctx, beta, lo, hi):
     """integral_lo^hi (phi(t) + 1/beta) dt by composite 24-node
     Gauss-Legendre on panels of width at most 2: a quadrature of phi,
@@ -610,3 +673,10 @@ def test_conditional_limit_mixed(mixed_params):
     assert got == pytest.approx(want, rel=1e-9)
     with pytest.raises(DomainError):
         analytic.conditional_limit_constant(mixed_params, 7)
+
+
+def test_conditional_limit_reads_ell_as_an_integer(mixed_params):
+    # True == 1 and 1.0 == 1 are support points by value, but not integers
+    for ell in (True, 1.0):
+        with pytest.raises(DomainError):
+            analytic.conditional_limit_constant(mixed_params, ell)

@@ -115,6 +115,16 @@ def test_asymptotics_values():
     assert "16" in doc["scaled_trend"]["1"]
 
 
+def test_asymptotics_where_the_flow_route_does_not_settle():
+    # beta = 50.5: gamma_constant is unsettled at T = 512, the closed form is not
+    code, out = run_cli(["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.01"])
+    assert code == 0
+    doc = json.loads(out)["asymptotics"]
+    assert doc["gamma"] is None
+    assert all(math.isfinite(v) for v in doc["conditional_limits"].values())
+    assert math.isfinite(doc["gamma_closed_form"])
+
+
 def test_verify_single_suite_and_exit_code():
     code, out = run_cli(["verify", "--suite", "rates", "--seed", "42"])
     assert code == 0
@@ -226,11 +236,13 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
     ["ode-check", "--law", "0:0.5,2:0.5", "--q", "0.999999", "--format", "csv", "--c", "1e300",
      "--rel-tol", "1e-12"],
     ["rate", "--law", "1:0.5,2:0.5", "--q", "1e-30"],
+    ["asymptotics", "--law", "4:0.999,5:0.001", "--q", "5e-6"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
     assert code == 1 and out == ""
     assert err.startswith("rgw: error:")
+    assert err.count("rgw: error:") == 1
 
 
 def test_ode_check_names_the_users_time(monkeypatch):
