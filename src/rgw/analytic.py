@@ -47,6 +47,7 @@ EXPLOSION_TOL = 1e-12
 _PANEL_TOL = 1e-14
 _PANEL_BUDGET = 4096
 _NEWTON_MAX_ITER = 100
+_FLOW_MEMO_SIZE = 1024  # flow points a context keeps before its memo starts afresh
 # gamma: the horizon doubles up to this cap, and the analytic tail
 # correction at an unsettled cap may be at most this large
 _GAMMA_HORIZON = 512.0
@@ -139,8 +140,9 @@ def critical_weights(params: ModelParams) -> WeightVector:
 class AnalyticContext:
     """Precomputed state for Pi_a, I_a and their inverse at fixed (law, q, a).
 
-    Immutable after construction; all methods are pure, so contexts may be
-    shared freely across threads.
+    Fixed after construction but for a memo of flow points keyed by float(t)
+    (at most _FLOW_MEMO_SIZE); an entry is a pure function of its key, so
+    threads sharing a context at worst solve one point twice.
     """
 
     def __init__(self, params: ModelParams, a: WeightVector):
@@ -159,6 +161,8 @@ class AnalyticContext:
         self._E = math.fsum(self.exponents[j] for j in grp)
         self._rest_w = np.array([w for _, w in rest], dtype=float)
         self._rest_e = np.array([self.exponents[j] for j, _ in rest], dtype=float)
+        self._smooth_star = float(self._smooth(self.x_star))
+        self._flow_memo: dict[float, tuple[float, float, float]] = {}
 
         self.i_total = self._integral(self.x_star)
         # Pi_a(x) >= (1 - x a_max)^(sum of the exponents of a_j > 0) on [0, x*]
@@ -193,7 +197,8 @@ class AnalyticContext:
 
         Every pending panel [lo, hi] is computed by the tanh-sinh pair in one
         pass; a panel whose two values agree to _PANEL_TOL of the running
-        total is accepted and every other one is halved.  Each node is held
+        total is accepted and every other one is halved (NotConverged if its
+        ends are adjacent floats, which halving cannot part).  Each node is held
         both as s = lo + span v and as x = (x* - hi) + span (1 - v): the
         maximal factor is (a_max s)^E on the half nearer x* and
         exp(E log1p(-a_max x)) on the half nearer 0, and the smooth factor
@@ -204,7 +209,7 @@ class AnalyticContext:
         lo, hi = np.zeros(1), np.array([float(width)])
         done: list[float] = []
         evaluated = 0
-        while lo.size:
+        while True:
             evaluated += lo.size
             if evaluated > _PANEL_BUDGET:
                 raise NotConverged(f"panel rule exceeded {_PANEL_BUDGET} panels")
@@ -224,9 +229,14 @@ class AnalyticContext:
             ok = np.abs(high - low) <= _PANEL_TOL * abs(total) + 1e-305
             done.extend(high[ok].tolist())
             lo, hi = lo[~ok], hi[~ok]
+            if not lo.size:
+                return math.fsum(done)
             mid = 0.5 * (lo + hi)
+            stuck = (mid == lo) | (mid == hi)
+            if stuck.any():
+                raise NotConverged(f"panel rule cannot halve s in [{float(lo[stuck][0])!r}, "
+                                   f"{float(hi[stuck][0])!r}]: its ends are adjacent floats")
             lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-        return math.fsum(done)
 
     def _inverse_tail(self, eps: float) -> tuple[float, float]:
         """Solve tail(sigma) = eps for sigma by Newton steps on log tail
@@ -245,7 +255,7 @@ class AnalyticContext:
             return 0.0, eps
         if eps >= self.i_total:
             return self.x_star, eps
-        E, g0 = self._E, float(self._smooth(self.x_star))
+        E, g0 = self._E, self._smooth_star
         lo, hi, sigma = 0.0, self.x_star, self.x_star
         if g0 > 0:
             log_sigma = (math.log(eps) + math.log1p(E) - math.log(g0)
@@ -348,7 +358,8 @@ def _flow_point(ctx: AnalyticContext, t: float) -> tuple[float, float, float]:
     step from the tail the inverse computed at its sigma, (tail - eps) / Pi_a,
     which resolves x below the spacing of floats near x*.  A time at which
     i_a - I_a(x) or Pi_a(x) underflows the normal float range raises
-    DomainError."""
+    DomainError.  The point is solved once per context and float(t): a
+    later call, after the same checks on t, reads it from ctx's memo."""
     q = ctx.params.q
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t!r}")
@@ -360,11 +371,18 @@ def _flow_point(ctx: AnalyticContext, t: float) -> tuple[float, float, float]:
     eps = delta + q * math.exp(-t)
     if eps < sys.float_info.min:
         raise DomainError(f"t={t!r} is too large: i_a - I_a(q A(t)) = {eps!r} underflows")
-    sigma, tail = ctx._inverse_tail(eps)
-    pi_x = ctx._pi_from_sigma(sigma)
-    if pi_x == 0.0:
-        raise DomainError(f"t={t!r}: Pi_a at the flow point underflows to 0")
-    return (ctx.x_star - sigma) + (tail - eps) / pi_x, sigma, math.exp(-t) / pi_x
+    memo, key = ctx._flow_memo, float(t)
+    point = memo.get(key)
+    if point is None:
+        sigma, tail = ctx._inverse_tail(eps)
+        pi_x = ctx._pi_from_sigma(sigma)
+        if pi_x == 0.0:
+            raise DomainError(f"t={t!r}: Pi_a at the flow point underflows to 0")
+        point = (ctx.x_star - sigma) + (tail - eps) / pi_x, sigma, math.exp(-t) / pi_x
+        if len(memo) >= _FLOW_MEMO_SIZE:
+            memo.clear()
+        memo[key] = point
+    return point
 
 
 def flow(ctx: AnalyticContext, t: float) -> tuple[float, float]:
@@ -392,7 +410,8 @@ def mgf_vector(ctx: AnalyticContext, t: float) -> list[float]:
 
 
 def mgf_closed(ctx: AnalyticContext, ell: int, t: float) -> float:
-    """Closed-form M_ell(a,t), the ell entry of mgf_vector."""
+    """Closed-form M_ell(a,t), the ell entry of mgf_vector; every ell at
+    one t reads one flow point, solved once and kept in ctx's memo."""
     ell = check_integer(ell, "ell must be a support point, got {!r}", 0)
     if ell not in ctx.a.weights:
         raise DomainError(f"{ell} is not a support point")
@@ -401,7 +420,8 @@ def mgf_closed(ctx: AnalyticContext, ell: int, t: float) -> float:
 
 def phi(ctx: AnalyticContext, t: float) -> float:
     """Growth correction phi(t) = (1-q) <nu; M(a,t)> - 1, on the closed-form
-    moment vector (the identity the moment ODE uses)."""
+    moment vector (the identity the moment ODE uses), from the flow point
+    that mgf_vector and mgf_closed at the same t share through ctx's memo."""
     law = ctx.params.law
     terms = [law.mass(j) * m for j, m in zip(ctx.a.support, mgf_vector(ctx, t))]
     return (1.0 - ctx.params.q) * math.fsum(terms) - 1.0

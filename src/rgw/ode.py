@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticContext, WeightVector, mgf_vector
-from .errors import BlowUpDetected, DomainError, RgwError
+from .errors import BlowUpDetected, DomainError, NotConverged, RgwError
 from .model import ModelParams
 
 BLOWUP_NORM = 1e8
@@ -27,6 +27,10 @@ _REL_TOL_FLOOR = 100 * np.finfo(float).eps
 # a fall in M_ell / M_j of at most this times max(1, |ratio|) between grid
 # points still counts as nondecreasing
 _RATIO_SLACK = 1e-9
+# right-hand-side evaluations one integration may take (about 15 per DOP853
+# step); the verify suite, the CLI golden texts and perfbench take at most
+# 3056, and critical weights at t_max = 1e5 would take 235,502
+_RHS_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,10 @@ def integrate_M(params: ModelParams, a: WeightVector, t_max: float,
     (DomainError otherwise); keeping t_max <= 0.9 * rho leaves a safety
     margin.  rel_tol must lie in [100 eps, 1), scipy's range for rtol.  If
     the max-norm of the state crosses 1e8 the integrator raises
-    BlowUpDetected carrying the crossing time.  When t_eval is given, only
-    those times are recorded, read off the solver's dense output.
+    BlowUpDetected carrying the crossing time.  A run that needs more than
+    _RHS_BUDGET evaluations of the right-hand side raises NotConverged.
+    When t_eval is given, only those times are recorded, read off the
+    solver's dense output.
     """
     if not math.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max!r}")
@@ -95,7 +101,14 @@ def integrate_M(params: ModelParams, a: WeightVector, t_max: float,
     if t_max == 0:
         return OdeSolution(np.zeros(1), y0[None, :], support, 0, 0, a)
 
+    evaluations = 0
+
     def f(t, state):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > _RHS_BUDGET:
+            raise NotConverged(f"moment ODE passed {_RHS_BUDGET} right-hand-side evaluations "
+                               f"at t={t:.6g} of t_max={t_max!r}")
         phi = (1.0 - q) * float(state @ nu) - 1.0
         return state * (q * state + phi)
 

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rgw import analytic
-from rgw.errors import DomainError, NotConverged, UnsupportedTie
+from rgw.errors import DomainError, NotConverged, RgwError, UnsupportedTie
 from rgw.model import ModelParams, new_law
 from tests.conftest import random_law
 
@@ -182,6 +182,16 @@ def test_panel_rule_raises_when_not_converged(mixed_params, monkeypatch):
     monkeypatch.setattr(ctx, "_smooth", lambda y: np.full(np.shape(y), math.nan))
     with pytest.raises(NotConverged):
         ctx._integral(0.1)
+
+
+def test_panel_rule_stops_at_a_panel_it_cannot_halve():
+    # below q = 1e-17 the peak of Pi_a at 0, about q wide, lies in a panel
+    # whose ends in s are adjacent floats next to x* = 1/2, which halving
+    # would only split into itself and an empty panel
+    law = new_law({1: 0.5, 2: 0.5})
+    for q in (1e-18, 1e-20):
+        with pytest.raises(NotConverged, match="adjacent floats"):
+            analytic.malthusian_rate(ModelParams(law, q))
 
 
 def test_panel_rule_missing_the_peak_raises():
@@ -491,6 +501,50 @@ def test_mgf_vector_is_mgf_closed_and_gives_phi(law, q, weights, frac):
     assert abs(analytic.phi(ctx, t) - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def _moments_at(make, t):
+    """flow, mgf_vector, every mgf_closed and phi at t, each from make(),
+    as the hex strings of their floats."""
+    ctx = make()
+    values = [*analytic.flow(ctx, t), *analytic.mgf_vector(make(), t),
+              *(analytic.mgf_closed(make(), j, t) for j in ctx.a.support),
+              analytic.phi(make(), t)]
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=25, deadline=None)
+@given(law=_laws, q=_qs, kind=st.sampled_from(["linear", "constant", "critical"]),
+       fracs=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3))
+def test_flow_memo_is_exact(law, q, kind, fracs):
+    params = ModelParams(law, q)
+    a = {"linear": lambda: analytic.linear_weights(law),
+         "constant": lambda: analytic.constant_weights(law, 2.0),
+         "critical": lambda: analytic.critical_weights(params)}[kind]()
+    ctx = analytic.AnalyticContext(params, a)
+    real, solves, seen = ctx._inverse_tail, [], set()
+    ctx._inverse_tail = lambda eps: solves.append(eps) or real(eps)
+    rho = ctx.explosion_time
+    for frac in fracs + fracs:  # every t twice: the second time reads the memo
+        t = frac * (0.9 * rho if math.isfinite(rho) else 8.0)
+        try:  # a fresh context for every value: no memo between them
+            want = _moments_at(lambda: analytic.AnalyticContext(params, a), t)
+        except RgwError as exc:  # e.g. Pi_a underflows at the flow point
+            with pytest.raises(type(exc)):
+                _moments_at(lambda: ctx, t)
+            continue
+        before = len(solves)
+        for j in law.support:
+            analytic.mgf_closed(ctx, j, t)
+        analytic.phi(ctx, t)
+        assert len(solves) - before == (t not in seen)
+        seen.add(t)
+        assert _moments_at(lambda: ctx, t) == want
+        assert [v.hex() for v in analytic.flow(ctx, np.float64(t))] == want[:2]
+        assert len(solves) == len(seen)
+        for bad in (math.nan, -1.0, math.inf, rho, 2.0 * rho):
+            with pytest.raises(DomainError):
+                analytic.flow(ctx, bad)
+
+
 def test_mgf_closed_constant_weights_monotype(mixed_params):
     # constant weights reduce to the single-type population: c e^-t / (1 - c(1-e^-t))
     c = 2.0
@@ -638,16 +692,17 @@ def test_gamma_sequence_matches_phi_quadrature(masses, q):
 
 
 def test_gamma_solves_one_flow_point_per_horizon(mixed_params, monkeypatch):
-    # horizons 8, 16, 32 and 64, and phi(64) for the tail correction
-    real, times = analytic._flow_point, []
+    # horizons 8, 16, 32 and 64; phi(64) for the tail correction reads the
+    # flow point of the last horizon from the context's memo
+    real, solves = analytic.AnalyticContext._inverse_tail, []
 
-    def counted(ctx, t):
-        times.append(t)
-        return real(ctx, t)
+    def counted(ctx, eps):
+        solves.append(eps)
+        return real(ctx, eps)
 
-    monkeypatch.setattr(analytic, "_flow_point", counted)
-    analytic.gamma_constant(mixed_params)
-    assert 0 < len(times) <= 6
+    monkeypatch.setattr(analytic.AnalyticContext, "_inverse_tail", counted)
+    seq = analytic._gamma_sequence(mixed_params)
+    assert len(solves) == sum(math.isfinite(T) for T, _ in seq) == 4
 
 
 def test_gamma_stability_under_horizon_doubling(mixed_params):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate._ivp import rk
 
 from rgw import analytic, ode
-from rgw.errors import BlowUpDetected, DomainError
+from rgw.errors import BlowUpDetected, DomainError, NotConverged
 from rgw.model import ModelParams, new_law
 
 
@@ -158,6 +159,19 @@ def test_critical_weights_no_blowup(mixed_params):
     got = sol.values[-1]
     want = [analytic.mgf_closed(ctx, j, float(sol.grid[-1])) for j in sol.support]
     assert np.allclose(got, want, rtol=1e-6)
+
+
+def test_critical_weights_stop_at_the_evaluation_budget():
+    # M stays bounded under critical weights, so DOP853 would go on to
+    # t_max = 1e5 (235,502 evaluations, 2.3 s); the budget stops it near
+    # t = 2e4, in under 2 s
+    params = ModelParams(new_law({0: 0.2, 1: 0.3, 3: 0.5}), 0.4)
+    a = analytic.critical_weights(params)
+    ode.integrate_M(params, a, 1.0)  # scipy is imported outside the timed call
+    start = time.perf_counter()
+    with pytest.raises(NotConverged, match="50000 right-hand-side evaluations"):
+        ode.integrate_M(params, a, 1e5)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_pde_residual_small_and_s0_line(mixed_params):
