@@ -37,11 +37,9 @@ import numpy as np
 from .errors import DomainError, NotConverged, QuadratureInconsistent, UnsupportedTie
 from .model import ModelParams, ReproductionLaw, check_integer, mean
 
-# |i_a - q| below this counts as critical; critical contexts are always
-# built from a computed rate which carries quadrature error
-CRITICALITY_TOL = 1e-10
-# i_a >= q - EXPLOSION_TOL means no explosion
-EXPLOSION_TOL = 1e-12
+# |i_a - q| <= CRITICALITY_TOL * q counts as critical (computed critical
+# contexts sit within 1e-15 q of q); it decides the flow and explosion_time too
+CRITICALITY_TOL = 1e-12
 # the panel rule: the agreement asked of the tanh-sinh pair relative to the
 # running total, and the panel budget
 _PANEL_TOL = 1e-14
@@ -152,15 +150,15 @@ class AnalyticContext:
         self.params = params
         self.a = a
         q = params.q
-        self.exponents = {j: law.mass(j) * (1.0 - q) / q for j in law.support}
+        exponents = {j: law.mass(j) * (1.0 - q) / q for j in law.support}
         self.x_star = 1.0 / a.amax
 
         pos = [(j, a[j]) for j in law.support if a[j] > 0]
         grp = [j for j, w in pos if w == a.amax]
         rest = [(j, w) for j, w in pos if w != a.amax]
-        self._E = math.fsum(self.exponents[j] for j in grp)
+        self._E = math.fsum(exponents[j] for j in grp)
         self._rest_w = np.array([w for _, w in rest], dtype=float)
-        self._rest_e = np.array([self.exponents[j] for j, _ in rest], dtype=float)
+        self._rest_e = np.array([exponents[j] for j, _ in rest], dtype=float)
         self._smooth_star = float(self._smooth(self.x_star))
         self._flow_memo: dict[float, tuple[float, float, float]] = {}
 
@@ -171,7 +169,7 @@ class AnalyticContext:
             raise NotConverged(f"I_a(x*) = {self.i_total:.6g} is below its floor {floor:.6g}: "
                                "the panel rule missed the peak of Pi_a at 0")
         gap = self.i_total - q
-        if abs(gap) <= CRITICALITY_TOL:
+        if abs(gap) <= CRITICALITY_TOL * q:
             self.criticality = CRITICAL
         elif gap < 0:
             self.criticality = EXPLOSIVE
@@ -288,7 +286,7 @@ class AnalyticContext:
 
     @property
     def explosion_time(self) -> float:
-        if self.i_total >= self.params.q - EXPLOSION_TOL:
+        if self.criticality != EXPLOSIVE:
             return math.inf
         return -math.log1p(-self.i_total / self.params.q)
 
@@ -342,7 +340,8 @@ def malthusian_rate(params: ModelParams) -> RateProfile:
 def explosion_time(params: ModelParams, a: WeightVector) -> float:
     """Time at which the weighted moment generating functions become infinite.
 
-    Finite, equal to -log(1 - i_a/q), exactly when i_a < q; +inf otherwise.
+    Finite, equal to -log(1 - i_a/q), exactly when the context's criticality
+    is subcritical-explosive; +inf otherwise.
     """
     return AnalyticContext(params, a).explosion_time
 

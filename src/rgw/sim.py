@@ -60,7 +60,10 @@ class Estimate:
     capped_fraction: float
 
 
-def _estimate_from_samples(samples: np.ndarray, capped: np.ndarray | None = None) -> Estimate:
+def _estimate_from_samples(samples: np.ndarray, capped: np.ndarray | None = None,
+                           what: str = "samples", hint: str = "") -> Estimate:
+    """Mean and standard error of the uncapped samples; DomainError, naming
+    `what` and ending in `hint`, if a sample, their sum or spread overflows."""
     n_total = len(samples)
     if capped is not None and capped.any():
         samples = samples[~capped]
@@ -69,8 +72,14 @@ def _estimate_from_samples(samples: np.ndarray, capped: np.ndarray | None = None
         capped_fraction = 0.0
     if len(samples) == 0:
         raise PopulationCapExceeded("all replicas hit the population cap")
-    se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-    return Estimate(float(samples.mean()), se, len(samples), capped_fraction)
+    if not np.isfinite(samples).all():
+        raise DomainError(f"the {what} overflow float64{hint}")
+    with np.errstate(over="ignore"):
+        mean = float(samples.mean())
+        se = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise DomainError(f"the sum or spread of the {what} overflows float64{hint}")
+    return Estimate(mean, se, len(samples), capped_fraction)
 
 
 def _law_tables(params: ModelParams):
@@ -193,17 +202,8 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
                 idx = _step(cols, i, uniforms(keys, i), q, zero, fresh, tables)
                 prod = prod * value[idx]
         samples[slot] = prod
-    # an overflowed product is inf, and inf * 0 = nan
-    if not np.isfinite(samples).all():
-        raise DomainError(f"the lineage products overflow float64 by n={n}; use a smaller n")
-    with np.errstate(over="ignore"):
-        est = _estimate_from_samples(samples)
-    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
-        raise DomainError(
-            f"the sum or spread of the lineage products overflows float64 at n={n}; "
-            "use a smaller n"
-        )
-    return est
+    return _estimate_from_samples(samples, what="lineage products",
+                                  hint=f" at n={n}; use a smaller n")
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +379,13 @@ def estimate_yule_functional(params: ModelParams, ell: int, c: float, t: float,
     """
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"weight factor must be finite and positive, got {c!r}")
-    if c * params.law.kstar > 1.0 + 1e-12:
-        warnings.warn(
-            f"c*k* = {c * params.law.kstar:.4g} > 1: heavy-tailed product, "
-            "standard errors may converge slowly",
-            stacklevel=2,
-        )
     res = simulate_yule(params, t, config, initial=ell)
     base = c * np.array(res.support, dtype=float)
-    vals = np.prod(base[None, :] ** res.counts, axis=1)
-    return _estimate_from_samples(vals, res.capped)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.prod(base[None, :] ** res.counts, axis=1)
+    est = _estimate_from_samples(vals, res.capped, what="functional's products",
+                                 hint=f" at c={c!r}, t={t!r}; use a smaller c or t")
+    if c * params.law.kstar > 1.0 + 1e-12:
+        warnings.warn(f"c*k* = {c * params.law.kstar:.4g} > 1: heavy-tailed product, "
+                      "standard errors may converge slowly", stacklevel=2)
+    return est

@@ -325,7 +325,7 @@ def check_series_identity(seed: int) -> CheckResult:
         est = sim.estimate_yule_functional(
             params, ell, c, t, sim.SimConfig(seed=seed + 7 * idx, replicas=10**5)
         )
-        worst = max(worst, abs(est.mean - series) / est.std_error)
+        worst = max(worst, _sigmas(est, series))
     return CheckResult("c11", "series-vs-typed-population", worst <= 3.0,
                        f"worst_deviation={worst:.3f} sigma over 3 configurations")
 

@@ -313,6 +313,52 @@ def test_explosion_time_critical_is_infinite(mixed_params):
     assert analytic.explosion_time(mixed_params, a) == math.inf
 
 
+@settings(max_examples=25, deadline=None)
+@given(law=_laws, q=_qs, kind=st.sampled_from(["random", "critical"]),
+       w=st.lists(st.integers(0, 8), min_size=8, max_size=8),
+       c=st.floats(math.log(0.1), math.log(10.0)).map(math.exp))
+@example(law=new_law({1: 0.5, 2: 0.5}), q=0.5, kind="random", w=[1] * 8, c=1.0000000001)
+def test_explosion_time_is_finite_iff_explosive(law, q, kind, w, c):
+    params = ModelParams(law, q)
+    if kind == "critical":
+        a = analytic.critical_weights(params)
+    else:
+        assume(any(w[j] for j in law.support))
+        a = analytic.weights_from_map(law, {j: c * w[j] for j in law.support})
+    ctx = analytic.AnalyticContext(params, a)
+    rho = ctx.explosion_time
+    assert math.isfinite(rho) == (ctx.criticality == analytic.EXPLOSIVE)
+    assert rho > 0
+    assert analytic.explosion_time(params, a) == rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_laws, q=st.floats(math.log(1e-6), math.log(0.95)).map(math.exp))
+def test_critical_context_is_critical(law, q):
+    # computed critical contexts sit within 1e-15 q of q, far inside the
+    # relative criticality tolerance
+    ctx = analytic.critical_context(ModelParams(law, q))
+    assert ctx.criticality == analytic.CRITICAL
+    assert ctx.explosion_time == math.inf
+
+
+def test_near_critical_constant_weights_are_explosive(mixed_params):
+    # Pi_a(x) = 1 - c x, so I(x) = x - c x^2/2 and i_a = 1/(2c) < q = 1/2:
+    # 1e-10 below critical is explosive, and the flow must not snap i_a to q
+    c = 1.0000000001
+    ctx = analytic.AnalyticContext(mixed_params, analytic.constant_weights(mixed_params.law, c))
+    assert ctx.criticality == analytic.EXPLOSIVE
+    with mpmath.workdps(40):
+        mc = mpmath.mpf(c)
+        assert abs(ctx.explosion_time - float(-mpmath.log(1 - 1 / mc))) <= 1e-10
+        for t in (5.0, 15.0, 20.0):
+            # x = q A solves x - c x^2/2 = q (1 - e^{-t}); A' = e^{-t} / (1 - c x)
+            root = mpmath.sqrt(1 - mc * -mpmath.expm1(-mpmath.mpf(t)))
+            value, deriv = analytic.flow(ctx, t)
+            assert abs(value / float((1 - root) / (mc / 2)) - 1) <= 1e-10, t
+            assert abs(deriv / float(mpmath.exp(-t) / root) - 1) <= 1e-10, t
+
+
 def test_flow_initial_conditions(mixed_params):
     ctx = analytic.critical_context(mixed_params)
     value, deriv = analytic.flow(ctx, 0.0)

@@ -237,6 +237,12 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
      "--rel-tol", "1e-12"],
     ["rate", "--law", "1:0.5,2:0.5", "--q", "1e-30"],
     ["asymptotics", "--law", "4:0.999,5:0.001", "--q", "5e-6"],
+    ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "3", "--c", "1e300", "--ell", "2",
+     "--replicas", "50", "--seed", "1"],
+    ["yule", "--law", "0:0.5,2:0.5", "--q", "0.5", "--t", "3", "--c", "1e200", "--ell", "2",
+     "--replicas", "50", "--seed", "1"],
+    ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "0.5", "--c", "0.6", "--ell", "5",
+     "--replicas", "100", "--seed", "1"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)

@@ -699,3 +699,14 @@ def test_yule_functional_warns_for_large_weights(mixed_params):
     with pytest.warns(UserWarning):
         sim.estimate_yule_functional(mixed_params, 2, 0.8, 0.2,
                                      sim.SimConfig(seed=1, replicas=100))
+
+
+@pytest.mark.parametrize("masses, c", [
+    ({1: 0.5, 2: 0.5}, 1e300),  # (2c)^2 is inf
+    ({0: 0.5, 2: 0.5}, 1e200),  # 0 * inf is nan
+])
+def test_yule_functional_overflow_is_an_error(masses, c):
+    # the error comes before the heavy-tail warning, which would be an error here
+    params = ModelParams(new_law(masses), 0.5)
+    with pytest.raises(DomainError, match="functional's products overflow.*smaller c or t"):
+        sim.estimate_yule_functional(params, 2, c, 3.0, sim.SimConfig(seed=1, replicas=50))
