@@ -301,7 +301,8 @@ class RateProfile:
 
     mean_limit is the limit of m^-n E[Z(n)]; error_exponent = 1/beta is the
     power-law order of the correction; lower/upper are the closed-form
-    domination bounds.
+    domination bounds; explosion_time_linear_weights is the explosion time
+    of the weights a_j = j, read off the context that gives m.
     """
 
     m: float
@@ -311,6 +312,7 @@ class RateProfile:
     error_exponent: float
     lower: float
     upper: float
+    explosion_time_linear_weights: float
 
 
 def malthusian_rate(params: ModelParams) -> RateProfile:
@@ -322,19 +324,18 @@ def malthusian_rate(params: ModelParams) -> RateProfile:
     nk = law.mass(kstar)
     lower = kstar * (q + (1.0 - q) * nk)
     upper = kstar * q + (1.0 - q) * mean(law)
-    beta = 1.0 + (1.0 - q) * nk / q
-    profile = RateProfile(
+    if not (lower - 1e-9 * kstar <= m <= upper + 1e-9 * kstar) or m <= q * kstar:
+        raise QuadratureInconsistent(f"rate quadrature inconsistent: {lower} <= {m} <= {upper}")
+    return RateProfile(
         m=m,
         log_m=math.log(m),
-        beta=beta,
+        beta=1.0 + (1.0 - q) * nk / q,
         mean_limit=nk / (q + nk * (1.0 - q)),
         error_exponent=q / (q + (1.0 - q) * nk),
         lower=lower,
         upper=upper,
+        explosion_time_linear_weights=ctx.explosion_time,
     )
-    if not (lower - 1e-9 * kstar <= m <= upper + 1e-9 * kstar) or m <= q * kstar:
-        raise QuadratureInconsistent(f"rate quadrature inconsistent: {lower} <= {m} <= {upper}")
-    return profile
 
 
 def explosion_time(params: ModelParams, a: WeightVector) -> float:

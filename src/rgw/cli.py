@@ -1,10 +1,11 @@
 """Command-line front end: reports from every module, JSON or CSV.
 
 Only this module formats output: the numeric modules return numbers, and
-`_emit_json` and `_emit_csv` print them with 12 significant digits.  Every
-subcommand echoes its fully resolved configuration, so identical
-invocations produce byte-identical reports (timestamps and wall-clock
-never appear).
+one writer, `_write`, turns each subcommand's resolved configuration, JSON
+body and CSV table into text with 12 significant digits.  CSV config lines
+are rounded like the JSON echo.  Every subcommand echoes its fully resolved
+configuration, so identical invocations produce byte-identical reports
+(timestamps and wall-clock never appear).
 
 Exit codes: 0 success, 1 validation/usage error, 2 verification failure.
 """
@@ -22,9 +23,6 @@ from . import analytic, exact, ode, sim, verify
 from .errors import NotConverged, RgwError
 from .model import ModelParams, load_params, params_to_dict, parse_law, parse_pairs
 
-_DEFAULT_CAP = sim.SimConfig.population_cap
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract reserves 2 for
     verification failures, so remap usage problems to exit 1.  Every error,
@@ -35,12 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"rgw: error: {message}\n")
 
 
-def _round12(x: float) -> float:
-    if isinstance(x, float) and math.isfinite(x):
-        return float(f"{x:.12g}")
-    return x
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -48,7 +40,7 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return _round12(x) if math.isfinite(x) else repr(x)
+        return float(f"{x:.12g}") if math.isfinite(x) else repr(x)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -67,18 +59,30 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(_jsonify(payload), indent=2) + "\n", out_path)
+def _json_text(obj) -> str:
+    return json.dumps(_jsonify(obj), indent=2) + "\n"
 
 
-def _emit_csv(config: dict, header, rows, out_path: str | None) -> None:
-    """The sorted "# key=value" config lines, the header row, then one line
-    per row; a float cell prints with 12 significant digits."""
-    lines = [f"# {k}={config[k]}\n" for k in sorted(config)]
-    lines.append(",".join(header) + "\n")
-    lines.extend(",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
-                 + "\n" for row in rows)
-    _emit("".join(lines), out_path)
+def _write(args, config: dict, body: dict | None, table=None) -> int:
+    """Write a subcommand's report to --out or stdout and return exit code 0.
+
+    JSON is {"config": config, **body}.  CSV is the sorted "# key=value"
+    config lines, rounded as `_jsonify` rounds the JSON echo, then the header
+    of table = (header, rows) and one line per row, a float cell printed
+    with 12 significant digits.
+    """
+    if args.format == "csv":
+        header, rows = table
+        config = _jsonify(config)
+        lines = [f"# {k}={config[k]}\n" for k in sorted(config)]
+        lines.append(",".join(header) + "\n")
+        lines.extend(",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
+                     + "\n" for row in rows)
+        text = "".join(lines)
+    else:
+        text = _json_text({"config": config, **body})
+    _emit(text, args.out)
+    return 0
 
 
 def _add_law_args(p: _Parser) -> None:
@@ -106,6 +110,11 @@ def _base_config(params: ModelParams, **extra) -> dict:
     return cfg
 
 
+def _sim_config(args) -> sim.SimConfig:
+    cap = sim.SimConfig.population_cap if args.cap is None else args.cap
+    return sim.SimConfig(seed=args.seed, replicas=args.replicas, population_cap=cap)
+
+
 def _parse_initial(raw: str) -> str | int:
     if raw == "law":
         return raw
@@ -121,56 +130,31 @@ def _parse_initial(raw: str) -> str | int:
 
 def _cmd_rate(args) -> int:
     params = _resolve_params(args)
-    prof = analytic.malthusian_rate(params)
-    a = analytic.linear_weights(params.law)
-    rho = analytic.explosion_time(params, a)
-    payload = {
-        "config": _base_config(params),
-        "rate": {
-            "m": prof.m,
-            "log_m": prof.log_m,
-            "beta": prof.beta,
-            "mean_limit": prof.mean_limit,
-            "error_exponent": prof.error_exponent,
-            "lower": prof.lower,
-            "upper": prof.upper,
-            "explosion_time_linear_weights": rho,
-        },
-    }
-    if args.format == "csv":
-        _emit_csv(payload["config"], ("key", "value"), payload["rate"].items(), args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    rate = dataclasses.asdict(analytic.malthusian_rate(params))
+    return _write(args, _base_config(params), {"rate": rate}, (("key", "value"), rate.items()))
 
 
 def _cmd_moments(args) -> int:
     params = _resolve_params(args)
     table = exact.spine_dp(params, args.n, initial=_parse_initial(args.initial))
-    config = _base_config(params, n=args.n, initial=args.initial,
-                          scale=_round12(table.scale))
+    config = _base_config(params, n=args.n, initial=args.initial, scale=table.scale)
     header = ("n", "EZ", "scaled")
-    rows = zip(range(len(table.scaled)), table.values.tolist(), table.scaled.tolist())
-    if args.format == "csv":
-        _emit_csv(config, header, rows, args.out)
-    else:
-        moments = [dict(zip(header, row)) for row in rows]
-        _emit_json({"config": config, "moments": moments}, args.out)
-    return 0
+    rows = list(zip(range(len(table.scaled)), table.values.tolist(), table.scaled.tolist()))
+    return _write(args, config, {"moments": [dict(zip(header, row)) for row in rows]},
+                  (header, rows))
 
 
 def _cmd_simulate(args) -> int:
+    if args.engine == "spine" and args.cap is not None:
+        raise RgwError("the spine engine never caps; --cap applies to the population engine")
+    if args.engine == "spine" and args.format == "csv":
+        raise RgwError("the spine engine emits an estimate; use --format json")
     params = _resolve_params(args)
-    config = sim.SimConfig(seed=args.seed, replicas=args.replicas,
-                           population_cap=args.cap)
+    config = _sim_config(args)
     initial = _parse_initial(args.initial)
     cfg = _base_config(params, n=args.n, seed=args.seed, replicas=args.replicas,
-                       cap=args.cap, initial=args.initial, engine=args.engine)
+                       cap=config.population_cap, initial=args.initial, engine=args.engine)
     if args.engine == "spine":
-        if args.cap != _DEFAULT_CAP:
-            raise RgwError("the spine engine never caps; --cap applies to the population engine")
-        if args.format == "csv":
-            raise RgwError("the spine engine emits an estimate; use --format json")
         est = sim.simulate_spine(params, args.n, config, initial=initial)
     else:
         result = sim.simulate_rgw(params, args.n, config, initial=initial)
@@ -178,12 +162,9 @@ def _cmd_simulate(args) -> int:
             # NaN marks the generations after a replica hit the cap: a suffix
             rows = ((r, g, v) for r, zr in enumerate(result.z.tolist())
                     for g, v in enumerate(zr) if v == v)
-            _emit_csv(cfg, ("replica", "generation", "Z"), rows, args.out)
-            return 0
+            return _write(args, cfg, None, (("replica", "generation", "Z"), rows))
         est = result.estimate(args.n)
-    estimate = {**dataclasses.asdict(est), "seed": args.seed}
-    _emit_json({"config": cfg, "estimate": estimate}, args.out)
-    return 0
+    return _write(args, cfg, {"estimate": {**dataclasses.asdict(est), "seed": args.seed}})
 
 
 def _cmd_yule(args) -> int:
@@ -194,40 +175,26 @@ def _cmd_yule(args) -> int:
     if args.c is not None and args.initial != "law":
         raise RgwError("the functional starts from --ell; --initial does not apply with --c")
     params = _resolve_params(args)
-    config = sim.SimConfig(seed=args.seed, replicas=args.replicas,
-                           population_cap=args.cap)
+    config = _sim_config(args)
     cfg = _base_config(params, t=args.t, seed=args.seed, replicas=args.replicas,
-                       cap=args.cap, initial=args.initial)
+                       cap=config.population_cap, initial=args.initial)
     if args.c is not None:
         cfg.update(c=args.c, ell=args.ell)
         est = sim.estimate_yule_functional(params, args.ell, args.c, args.t, config)
-        estimate = {**dataclasses.asdict(est), "seed": args.seed}
-        _emit_json({"config": cfg, "estimate": estimate}, args.out)
-        return 0
-    initial = _parse_initial(args.initial)
-    res = sim.simulate_yule(params, args.t, config, initial=initial)
-    if args.format == "csv":
-        header = ("replica", *(f"Y_{j}" for j in res.support))
-        rows = ((r, *row) for r, row in enumerate(res.counts.tolist()))
-        _emit_csv(cfg, header, rows, args.out)
-        return 0
+        return _write(args, cfg, {"estimate": {**dataclasses.asdict(est), "seed": args.seed}})
+    res = sim.simulate_yule(params, args.t, config, initial=_parse_initial(args.initial))
     totals = res.totals
     freq = np.bincount(totals)
-    payload = {
-        "config": cfg,
-        "population": {
-            "mean": float(totals.mean()),
-            "expected_mean": math.exp(args.t),
-            "capped_fraction": float(res.capped.mean()),
-            "histogram": {str(k): int(v) for k, v in enumerate(freq) if v > 0},
-            "type_means": {
-                str(j): float(res.counts[:, i].mean())
-                for i, j in enumerate(res.support)
-            },
-        },
+    population = {
+        "mean": float(totals.mean()),
+        "expected_mean": math.exp(args.t),
+        "capped_fraction": float(res.capped.mean()),
+        "histogram": {str(k): int(v) for k, v in enumerate(freq) if v > 0},
+        "type_means": {str(j): float(res.counts[:, i].mean()) for i, j in enumerate(res.support)},
     }
-    _emit_json(payload, args.out)
-    return 0
+    header = ("replica", *(f"Y_{j}" for j in res.support))
+    rows = ((r, *row) for r, row in enumerate(res.counts.tolist()))
+    return _write(args, cfg, {"population": population}, (header, rows))
 
 
 def _cmd_ode_check(args) -> int:
@@ -246,35 +213,29 @@ def _cmd_ode_check(args) -> int:
     if t_hi >= rho:
         raise RgwError(f"--t must be below the explosion time {rho:.6g}")
     analytic.flow(ctx, t_hi)  # the closed form needs a flow point at the user's t
-    cfg = _base_config(params, t_max=_round12(t_hi), rel_tol=args.rel_tol,
-                       weights={str(j): _round12(a[j]) for j in a.support})
+    cfg = _base_config(params, t_max=t_hi, rel_tol=args.rel_tol,
+                       weights={str(j): a[j] for j in a.support})
     ts = np.linspace(0.0, t_hi, 33)
     sol = ode.integrate_M(params, a, float(ts[-1]), rel_tol=args.rel_tol, t_eval=ts)
     if args.format == "csv":
         header = ("t", *(f"M_{j}" for j in sol.support))
         rows = ((t, *row) for t, row in zip(sol.grid.tolist(), sol.values.tolist()))
-        _emit_csv(cfg, header, rows, args.out)
-        return 0
+        return _write(args, cfg, None, (header, rows))
     s_hi = 0.72 / float(np.max(np.abs(sol.values)))
     residual = ode.pde_residual_G(params, a, np.linspace(0.0, t_hi, 21),
                                   np.linspace(0.0, s_hi, 21), rel_tol=args.rel_tol)
     pos = [j for j in a.support if a[j] > 0]
     jlo = min(pos, key=lambda j: a[j])
     jhi = max(pos, key=lambda j: a[j])
-    payload = {
-        "config": cfg,
-        "ode": {
-            "explosion_time": rho,
-            "criticality": ctx.criticality,
-            "sup_rel_err_vs_closed_form": ode.closed_form_error(sol, ctx),
-            "pde_residual_21x21": residual,
-            "ratio_monotone": ode.ratio_monotonicity_check(sol, jlo, jhi),
-            "accepted_steps": sol.accepted,
-            "rejected_steps": sol.rejected,
-        },
-    }
-    _emit_json(payload, args.out)
-    return 0
+    return _write(args, cfg, {"ode": {
+        "explosion_time": rho,
+        "criticality": ctx.criticality,
+        "sup_rel_err_vs_closed_form": ode.closed_form_error(sol, ctx),
+        "pde_residual_21x21": residual,
+        "ratio_monotone": ode.ratio_monotonicity_check(sol, jlo, jhi),
+        "accepted_steps": sol.accepted,
+        "rejected_steps": sol.rejected,
+    }})
 
 
 def _cmd_asymptotics(args) -> int:
@@ -292,17 +253,14 @@ def _cmd_asymptotics(args) -> int:
         gam = None
     ells = [args.ell] if args.ell is not None else list(params.law.support)
     limits = {str(ell): analytic.conditional_limit_constant(params, ell) for ell in ells}
-    payload = {
-        "config": _base_config(params),
-        "asymptotics": {
-            "m": prof.m,
-            "beta": prof.beta,
-            "error_exponent": prof.error_exponent,
-            "mean_limit": prof.mean_limit,
-            "gamma": gam,
-            "gamma_closed_form": analytic.gamma_closed_form(params),
-            "conditional_limits": limits,
-        },
+    asymptotics = {
+        "m": prof.m,
+        "beta": prof.beta,
+        "error_exponent": prof.error_exponent,
+        "mean_limit": prof.mean_limit,
+        "gamma": gam,
+        "gamma_closed_form": analytic.gamma_closed_form(params),
+        "conditional_limits": limits,
     }
     if args.n is not None:
         trend = {}
@@ -314,28 +272,22 @@ def _cmd_asymptotics(args) -> int:
             trend[str(ell)] = {
                 str(n): float(n**prof.error_exponent * table.scaled[n]) for n in pts
             }
-        payload["asymptotics"]["scaled_trend"] = trend
-    _emit_json(payload, args.out)
-    return 0
+        asymptotics["scaled_trend"] = trend
+    return _write(args, _base_config(params), {"asymptotics": asymptotics})
 
 
 def _cmd_verify(args) -> int:
     results, timings = verify.run_suite(args.suite, args.seed)
+    passed = all(r.passed for r in results)
     if args.format == "json":
-        payload = {
-            "config": {"suite": args.suite, "seed": args.seed},
-            "results": [
-                {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
-        _emit_json(payload, args.out)
+        rows = [{"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
+                for r in results]
+        _write(args, {"suite": args.suite, "seed": args.seed}, {"results": rows, "passed": passed})
     else:
         _emit(verify.format_report(results, args.suite, args.seed), args.out)
     if args.timings:
-        _emit_json(timings, args.timings)
-    return 0 if all(r.passed for r in results) else 2
+        _emit(_json_text(timings), args.timings)
+    return 0 if passed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +303,9 @@ def build_parser() -> _Parser:
         if need_sim:
             p.add_argument("--replicas", type=int, default=10000)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--cap", type=int, default=_DEFAULT_CAP)
+            p.add_argument("--cap", type=int,
+                           help="population cap of the population and Yule engines "
+                                f"(default {sim.SimConfig.population_cap})")
             p.add_argument("--initial", default="law",
                            help='"law" or a support point (measure P vs P_ell)')
 

@@ -38,10 +38,13 @@ class MomentTable:
 
     @property
     def values(self) -> np.ndarray:
-        """Unscaled E[Z(n)]; may overflow to inf for extreme (law, n)."""
+        """Unscaled E[Z(n)]; may overflow to inf for extreme (law, n).  A zero
+        coefficient stays zero even where scale^n overflows."""
         n = np.arange(len(self.scaled), dtype=float)
         with np.errstate(over="ignore"):
-            return self.scaled * self.scale**n
+            powers = self.scale**n
+        return np.multiply(self.scaled, powers, out=np.zeros_like(self.scaled),
+                           where=self.scaled != 0)
 
 
 def _resolve_scale(params: ModelParams, scale: float | None) -> float:

@@ -45,6 +45,9 @@ def test_weight_validation(binary_params):
             analytic.weights_from_map(law, {0: bad, 2: 1.0})
         with pytest.raises(DomainError):
             analytic.constant_weights(law, bad)
+    other = analytic.linear_weights(new_law({1: 0.5, 2: 0.5}))
+    with pytest.raises(DomainError, match="support"):
+        analytic.AnalyticContext(binary_params, other)
 
 
 def test_context_criticality(mixed_params):

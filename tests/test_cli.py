@@ -115,6 +115,14 @@ def test_asymptotics_values():
     assert "16" in doc["scaled_trend"]["1"]
 
 
+def test_asymptotics_trend_skips_a_zero_root():
+    code, out = run_cli(["asymptotics", "--law", "0:0.5,2:0.5", "--q", "0.5", "--n", "16"])
+    assert code == 0
+    doc = json.loads(out)["asymptotics"]
+    assert set(doc["conditional_limits"]) == {"0", "2"}
+    assert list(doc["scaled_trend"]) == ["2"] and list(doc["scaled_trend"]["2"]) == ["8", "16"]
+
+
 def test_asymptotics_where_the_flow_route_does_not_settle():
     # beta = 50.5: gamma_constant is unsettled at T = 512, the closed form is not
     code, out = run_cli(["asymptotics", "--law", "1:0.5,2:0.5", "--q", "0.01"])
@@ -243,6 +251,12 @@ def test_verify_csv_rejected_before_suite_runs(monkeypatch):
      "--replicas", "50", "--seed", "1"],
     ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "0.5", "--c", "0.6", "--ell", "5",
      "--replicas", "100", "--seed", "1"],
+    ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--engine", "spine",
+     "--cap", "1000000"],
+    ["simulate", "--law", "1:0.5,2:0.5", "--q", "0.5", "--n", "5", "--engine", "spine",
+     "--format", "csv"],
+    ["yule", "--law", "1:0.5,2:0.5", "--q", "0.5", "--t", "0.5", "--c", "0.3"],
+    ["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5", "--c", "2", "--t", "1"],
 ])
 def test_bad_values_exit_one(argv):
     code, out, err = run_cli_err(argv)
@@ -260,6 +274,10 @@ def test_ode_check_names_the_users_time(monkeypatch):
                                   "--weights", "1:1,2:1", "--t", "800"])
     assert code == 1 and out == ""
     assert err.startswith("rgw: error: t=800.0 is too large")
+    code, out, err = run_cli_err(["ode-check", "--law", "1:0.5,2:0.5", "--q", "0.5",
+                                  "--c", "2", "--t", "1"])
+    assert code == 1 and out == ""
+    assert err == "rgw: error: --t must be below the explosion time 0.693147\n"
 
 
 def test_ode_check_start_guess_does_not_overflow():
@@ -311,6 +329,29 @@ def test_law_file_source(tmp_path):
     code, out = run_cli(["rate", "--law-file", str(path)])
     assert code == 0
     assert abs(json.loads(out)["rate"]["m"] - 1.5) < 1e-10
+
+
+def test_law_file_q_is_overridden_by_the_option(tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"law": {"0": 0.5, "2": 0.5}, "q": 0.5}))
+    code, out = run_cli(["rate", "--law-file", str(path), "--q", "0.3"])
+    assert code == 0
+    doc = json.loads(out)
+    # binary law: m = k (q + (1 - q) p) = 2 (0.3 + 0.7 * 0.5)
+    assert doc["config"]["q"] == 0.3 and abs(doc["rate"]["m"] - 1.3) < 1e-12
+
+
+def test_rate_builds_one_context(monkeypatch):
+    contexts = []
+    real_init = analytic.AnalyticContext.__init__
+
+    def init(self, params, a):
+        contexts.append(a)
+        real_init(self, params, a)
+
+    monkeypatch.setattr(analytic.AnalyticContext, "__init__", init)
+    code, _ = run_cli(["rate", "--law", "1:0.5,2:0.5", "--q", "0.5"])
+    assert code == 0 and len(contexts) == 1
 
 
 def test_law_file_not_utf8_exits_one(tmp_path):
@@ -443,6 +484,23 @@ def test_moments_past_float_range_are_inf_without_warnings():
     assert (code, err) == (0, "")
     last = json.loads(out)["moments"][-1]
     assert last["EZ"] == "inf" and math.isfinite(last["scaled"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_moments_from_a_zero_root_are_zero_without_warnings(fmt):
+    # scale^150 overflows, yet E_0[Z(n)] = 0 for every n >= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli_err(["moments", "--law", "0:0.5,400:0.5", "--q", "0.5",
+                                      "--n", "150", "--initial", "0", "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        rows = [(r["n"], r["EZ"], r["scaled"]) for r in json.loads(out)["moments"]]
+    else:
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert lines[0] == "n,EZ,scaled"
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert rows == [(0, 1.0, 1.0)] + [(n, 0.0, 0.0) for n in range(1, 151)]
 
 
 def test_out_file(tmp_path):

@@ -449,6 +449,22 @@ def test_series_diverges_at_explosion(mixed_params):
     assert val > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(law=_spine_laws, q=st.floats(0.05, 0.95), ck=st.floats(0.05, 0.9),
+       frac=st.floats(0.0, 1.0))
+def test_series_matches_closed_form_property(law, q, ck, frac):
+    # the series is the Taylor expansion in 1 - e^-t of the closed form
+    # M_ell(a, t) with a_j = c j, so the DP and the flow meet at every t
+    params, c = ModelParams(law, q), ck / law.kstar
+    ctx = analytic.AnalyticContext(params, analytic.linear_weights(law, c))
+    rho = ctx.explosion_time
+    t = frac * (0.7 * rho if math.isfinite(rho) else 2.0)
+    for ell in law.support:
+        series = exact.yule_functional_series(params, ell, c, t, n_terms=400)
+        closed = analytic.mgf_closed(ctx, ell, t)
+        assert abs(series - closed) <= 1e-13 * abs(closed)
+
+
 def test_series_tail_precondition(mixed_params):
     with pytest.raises(DomainError):
         exact.yule_functional_series(mixed_params, 2, 0.55, 1.2, n_terms=4)

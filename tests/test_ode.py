@@ -75,6 +75,7 @@ def test_domain_and_blowup(mixed_params):
     {"t_max": 0.3, "rel_tol": 0.0}, {"t_max": 0.3, "rel_tol": 1.0},
     {"t_max": 0.3, "rel_tol": math.inf}, {"t_max": 0.3, "t_eval": [0.0, math.nan]},
     {"t_max": 0.3, "t_eval": [math.nan]}, {"t_max": 0.3, "rel_tol": 1e-15},
+    {"t_max": 0.3, "t_eval": [0.0, 0.5]},
 ])
 def test_bad_horizon_and_tolerance(mixed_params, kwargs):
     a = analytic.linear_weights(mixed_params.law)
@@ -223,6 +224,8 @@ def test_pde_grid_validation(mixed_params):
     with pytest.raises(DomainError):
         ode.pde_residual_G(mixed_params, a, np.linspace(0, 1, 5),
                            np.linspace(0, 50.0, 5))
+    with pytest.raises(DomainError, match="nonnegative"):
+        ode.pde_residual_G(mixed_params, a, np.linspace(-0.5, 0.5, 5), np.linspace(0, 0.1, 5))
 
 
 def test_ratio_monotonicity(mixed_params):
@@ -238,6 +241,12 @@ def test_ratio_monotonicity(mixed_params):
     assert ode.ratio_monotonicity_check(sol_eq, 1, 2)
     with pytest.raises(DomainError):
         ode.ratio_monotonicity_check(sol, 2, 1)  # a_2 > a_1
+    with pytest.raises(DomainError, match="support"):
+        ode.ratio_monotonicity_check(sol, 1, 3)
+    zero = analytic.weights_from_map(mixed_params.law, {1: 0.0, 2: 1.0})
+    sol_zero = ode.integrate_M(mixed_params, zero, 0.5, rel_tol=1e-10)
+    with pytest.raises(DomainError, match="positive"):
+        ode.ratio_monotonicity_check(sol_zero, 1, 2)
 
 
 def test_bounded_case_lower_weight_vanishes(mixed_params):
