@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -63,21 +64,32 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonify(obj), indent=2) + "\n"
 
 
+def _cell(v) -> str:
+    """One CSV cell: a float with 12 significant digits, anything else by str."""
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
 def _write(args, config: dict, body: dict | None, table=None) -> int:
     """Write a subcommand's report to --out or stdout and return exit code 0.
 
     JSON is {"config": config, **body}.  CSV is the sorted "# key=value"
     config lines, rounded as `_jsonify` rounds the JSON echo, then the header
     of table = (header, rows) and one line per row, a float cell printed
-    with 12 significant digits.
+    with 12 significant digits.  Every row has its first row's cell types,
+    so one format string, built from the first row, prints each row; a
+    table whose rows mix types passes its cells through `_cell` first.
     """
     if args.format == "csv":
         header, rows = table
         config = _jsonify(config)
         lines = [f"# {k}={config[k]}\n" for k in sorted(config)]
         lines.append(",".join(header) + "\n")
-        lines.extend(",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
-                     + "\n" for row in rows)
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            fmt = ",".join("{:.12g}" if isinstance(v, float) else "{}" for v in first) + "\n"
+            lines.append(fmt.format(*first))
+            lines.extend(itertools.starmap(fmt.format, rows))
         text = "".join(lines)
     else:
         text = _json_text({"config": config, **body})
@@ -131,7 +143,8 @@ def _parse_initial(raw: str) -> str | int:
 def _cmd_rate(args) -> int:
     params = _resolve_params(args)
     rate = dataclasses.asdict(analytic.malthusian_rate(params))
-    return _write(args, _base_config(params), {"rate": rate}, (("key", "value"), rate.items()))
+    rows = ((k, _cell(v)) for k, v in rate.items())  # a key/value table mixes types
+    return _write(args, _base_config(params), {"rate": rate}, (("key", "value"), rows))
 
 
 def _cmd_moments(args) -> int:

@@ -8,7 +8,10 @@ across replicas.  All three engines share one root draw (`_roots`), one
 step rule (`_step`) over cumulative forebear counts with one uniform per
 child, and one law sampler (`_law_index`); the Yule engine advances all
 live replicas by one birth per round (counter layout in `simulate_yule`).
-The step compares uniforms with cuts (`_cuts`), not float quotients.
+The step compares uniforms with cuts (`_cuts`), not float quotients.  The
+population engine keeps each generation in replica order and holds no
+per-individual replica index: replica sizes are sums between per-replica
+boundaries, and a child's hash input comes from its replica's next counter.
 """
 from __future__ import annotations
 
@@ -29,7 +32,9 @@ _SALT_YULE = 0x79
 _SPINE_BATCH = 1 << 16
 # a population batch holds at most _POP_GROWTH times the replicas of the last,
 # and about _POP_CELL_BUDGET individuals in its widest generation (its replicas
-# times the widest mean generation per replica of the batches before it)
+# times the widest mean generation per replica of the batches before it); each
+# individual costs its forebear counts and a few generation-long temporaries,
+# none of them a replica index
 _POP_CELL_BUDGET = 2**17
 _POP_GROWTH = 4
 
@@ -183,15 +188,16 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
         slot = np.arange(lo, hi)
         keys = derive_keys(config.seed, _SALT_SPINE, slot.astype(np.uint64))
         idx = _roots(keys, initial, support, cum)
-        prod = value[idx]
+        prod = np.take(value, idx)
         # cols[j]: how many values drawn so far are among pos[0..j], j < s-1
         cols = np.zeros((s - 1, hi - lo), dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, n + 1):
-                dead = idx < zero
-                if dead.any():
-                    samples[slot[dead]] = prod[dead]
-                    live = np.flatnonzero(~dead)
+                # only the support point 0 (index 0) ends a lineage
+                dead = np.flatnonzero(idx == 0) if zero else ()
+                if len(dead):
+                    samples[np.take(slot, dead)] = np.take(prod, dead)
+                    live = np.flatnonzero(idx)
                     slot, keys, prod, idx = (
                         np.take(a, live) for a in (slot, keys, prod, idx)
                     )
@@ -200,7 +206,7 @@ def simulate_spine(params: ModelParams, n: int, config: SimConfig,
                     break
                 _absorb(cols, idx, zero)
                 idx = _step(cols, i, uniforms(keys, i), q, zero, fresh, tables)
-                prod = prod * value[idx]
+                prod *= np.take(value, idx)
         samples[slot] = prod
     return _estimate_from_samples(samples, what="lineage products",
                                   hint=f" at n={n}; use a smaller n")
@@ -223,6 +229,10 @@ class PopulationResult:
 
 
 def _population_batch(params, n, config, initial, lo, hi, support, cum, fresh, tables):
+    """z and capped of replicas lo..hi-1.  A generation's individuals lie in
+    replica order; each replica's next size is one `np.add.reduceat` over the
+    boundaries of the replicas that have individuals, and its children's hash
+    inputs are its key advanced to its next counter, repeated by that size."""
     b = hi - lo
     zero = int(support[0] == 0)
     s = len(support) - zero
@@ -230,32 +240,34 @@ def _population_batch(params, n, config, initial, lo, hi, support, cum, fresh, t
     z = np.zeros((b, n + 1))
     z[:, 0] = 1.0
     capped = np.zeros(b, dtype=bool)
-    # individual k belongs to replica rep[k], in order, and cols[:, k] counts
-    # its forebears' values as in _step
-    rep = np.arange(b)
+    # replica r's individuals are start[r] .. start[r] + prev[r] - 1, and
+    # cols[:, k] counts individual k's forebears' values as in _step
+    prev, start = np.ones(b, dtype=np.int64), np.arange(b)
     idx = _roots(keys, initial, support, cum)
-    base = np.ones(b, dtype=np.uint64)
+    base = np.ones(b, dtype=np.int64)
     cols = np.zeros((s - 1, b), dtype=np.intp)
     for g in range(1, n + 1):
-        cnt = support[idx]
-        size = np.bincount(rep, cnt, minlength=b).astype(np.uint64)
+        cnt = np.take(support, idx)
+        size = np.zeros(b, dtype=np.int64)
+        full = np.flatnonzero(prev)  # reduceat reads one element for an empty run
+        size[full] = np.add.reduceat(cnt, np.take(start, full))
         z[:, g] = np.where(capped, np.nan, size)
-        capped |= size > config.population_cap
-        if capped.any():
-            cnt[capped[rep]] = 0
-            size[capped] = 0
+        hit = size > config.population_cap
+        if hit.any():
+            capped |= hit
+            cnt[np.repeat(hit, prev)] = 0
+            size[hit] = 0
         if g == n or not size.any():
             z[capped, g + 1:] = np.nan
             break
         _absorb(cols, idx, zero)
-        parent = np.repeat(np.arange(cnt.size), cnt)
-        cols, rep = np.take(cols, parent, axis=1), np.take(rep, parent)
-        del parent  # one R-long array fewer while the uniforms are drawn
+        cols = np.repeat(cols, cnt, axis=1)  # no rows, so no work, if s == 1
         # child k of replica r reads counter base[r] + k - start[r]
         start = np.cumsum(size) - size
-        u = uniforms(np.take(advance(keys, base - start), rep),
-                     np.arange(rep.size, dtype=np.uint64))
+        u = uniforms(np.repeat(advance(keys, base - start), size),
+                     np.arange(start[-1] + size[-1], dtype=np.uint64))
         base += size
+        prev = size
         idx = _step(cols, g, u, params.q, zero, fresh, tables)
     return z, capped
 
@@ -264,14 +276,17 @@ def simulate_rgw(params: ModelParams, n: int, config: SimConfig,
                  initial: str | int = "law") -> PopulationResult:
     """Simulate the full reinforced branching population for n generations.
 
-    Each individual carries its replica index and its forebears' value
-    counts, both copied from its parent's, and steps by the lineage rule
-    (`_step`) on one uniform:
-    individual k of replica r (its k-th in generation order) reads counter
-    base + k, where base counts r's individuals in earlier generations; a
-    law-drawn root reads counter 0.  Replicas hitting the population cap are
-    flagged and excluded from estimates rather than silently kept.  The
-    first batch holds 16 replicas; later ones follow `_POP_CELL_BUDGET`.
+    Each individual carries its forebears' value counts, repeated from its
+    parent's by one `np.repeat` per generation (a law with one positive
+    support point has no counts to carry), and steps by the lineage rule
+    (`_step`) on one uniform.  Individuals stay in replica order, so a
+    replica is a run of them between two boundaries and no individual
+    stores its replica: individual k of replica r (its k-th in generation
+    order) reads counter base + k, where base counts r's individuals in
+    earlier generations; a law-drawn root reads counter 0.  Replicas
+    hitting the population cap are flagged and excluded from estimates
+    rather than silently kept.  The first batch holds 16 replicas; later
+    ones follow `_POP_CELL_BUDGET`.
     """
     n = check_integer(n, "n must be >= 1, got {!r}")
     initial = check_initial(params.law, initial)

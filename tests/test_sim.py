@@ -452,6 +452,22 @@ def test_rgw_matches_per_individual_history(law, q, n, initial, cap):
         assert capped.any() and not capped.all()
 
 
+def test_rgw_matches_history_around_empty_and_capped_replicas():
+    # one batch of 8: at generation 1 replica 0 (before the first live one),
+    # replicas 3 and 4 (between live ones) and replica 7 (the last) die out,
+    # and replica 5 passes the cap, so generation 2 sums children over
+    # replicas with no individuals at both ends and in the middle
+    params = ModelParams(new_law({0: 0.35, 1: 0.2, 2: 0.3, 6: 0.15}), 0.5)
+    cfg = sim.SimConfig(seed=303, replicas=8, population_cap=5)
+    res = sim.simulate_rgw(params, 6, cfg)
+    z, capped = _population_reference(params, 6, cfg, "law")
+    assert res.z[:, 1].tolist() == [0, 1, 1, 0, 0, 6, 1, 0]
+    assert np.flatnonzero(capped).tolist() == [5]
+    assert (z[[1, 6], -1] > 0).all()
+    assert np.array_equal(res.z, z, equal_nan=True)
+    assert np.array_equal(res.capped, capped)
+
+
 def test_rgw_capped_rows_stay_nan_after_the_last_death():
     # every replica is capped or extinct by generation 6 of 15, so the run stops early
     params = ModelParams(new_law({0: 0.6, 4: 0.4}), 0.3)
